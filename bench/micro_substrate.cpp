@@ -138,7 +138,7 @@ BENCHMARK(BM_PidUpdate);
 scenario::WanPath::Config packet_dense_config(sim::QueueBackend backend) {
   scenario::WanPath::Config cfg;
   cfg.enable_web100 = false;
-  cfg.backend = backend;
+  cfg.execution.backend = backend;
   return cfg;
 }
 
@@ -199,7 +199,7 @@ SmokeResult smoke_parkinglot(sim::QueueBackend backend, double budget_seconds) {
   const auto t0 = std::chrono::steady_clock::now();
   while (r.seconds < budget_seconds) {
     scenario::ParkingLot::Config cfg;
-    cfg.backend = backend;
+    cfg.execution.backend = backend;
     cfg.access_rate = net::DataRate::mbps(100);
     scenario::ParkingLot lot{cfg, scenario::uniform_cc(scenario::make_rss_factory())};
     lot.start_all(sim::Time::zero());
@@ -216,9 +216,8 @@ SmokeResult smoke_parkinglot(sim::QueueBackend backend, double budget_seconds) {
 /// them, the inline single-worker round loop where it doesn't). The two
 /// runs execute the identical spec and the identical event count (parity
 /// is a tested invariant), so events/sec isolates what partitioning buys:
-/// four small per-partition queues instead of one large one, per-partition
-/// backend auto-selection, window-sized working sets, and — on multicore —
-/// actual parallelism. bench_scale regressions therefore catch both engine
+/// four small per-partition queues instead of one large one, window-sized
+/// working sets, and — on multicore — actual parallelism. bench_scale regressions therefore catch both engine
 /// slowdowns and partitioning-quality losses.
 SmokeResult smoke_scale(std::size_t partitions, double budget_seconds) {
   SmokeResult r;

@@ -6,9 +6,10 @@ Two failure modes this guards against, neither of which any compiler sees:
   dead-link       A relative link or intra-repo anchor in README.md or
                   docs/*.md points at a file or heading that no longer
                   exists (file moved, heading reworded).
-  spec-coverage   src/scenario/spec_io.cpp learns a new field but
-                  docs/spec-format.md never mentions it — the documented
-                  spec surface silently falls behind the parsed one.
+  spec-coverage   a descriptor table in src/scenario/spec_io.cpp learns a
+                  new field but docs/spec-format.md never mentions it — the
+                  documented spec surface silently falls behind the parsed
+                  one.
 
 Runs as a ctest (`check_docs`) and as a CI step. Pure stdlib Python, no
 build needed.
@@ -25,9 +26,10 @@ import sys
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
-# Fields read by the spec parser: r.opt("x") / r.req("x") on an ObjectReader,
-# plus the reader variables the flow/web100/sweep parsers use.
-FIELD_RE = re.compile(r"\b(?:r|w|rr|a)\.(?:opt|req)\(\"([a-z_0-9]+)\"\)")
+# The name column of spec_io.cpp's descriptor tables: every spec field is one
+# field<&Struct::member>("name", ...) entry, or a hand-written
+# Field<Struct>{"name", read, write, ...} for the two keys with custom codecs.
+FIELD_RE = re.compile(r"\b[Ff]ield<[^>]*>[({]\"([a-z_0-9]+)\"")
 
 # Parser-internal names that are not spec-file fields (or are documented
 # under a different, canonical name). Keep this list short and justified.
@@ -82,7 +84,7 @@ def check_spec_coverage(root: pathlib.Path) -> list[str]:
     if len(parsed) < 30:
         errors.append(
             f"spec-coverage: only {len(parsed)} fields scraped from spec_io.cpp — "
-            "the FIELD_RE pattern has likely fallen out of sync with the parser")
+            "the FIELD_RE pattern has likely fallen out of sync with the tables")
     # Strip fenced blocks first: they would derail the single-backtick
     # pairing below, and example snippets are not documentation of record.
     doc_text = re.sub(r"```.*?```", "", doc.read_text(), flags=re.DOTALL)

@@ -118,19 +118,9 @@ ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t seed) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::backend(sim::QueueBackend backend) {
-  spec_.backend = backend;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::execution(ExecutionPolicy policy) {
   spec_.execution = policy;
   return *this;
-}
-
-sim::QueueBackend ScenarioBuilder::auto_backend(const TopologySpec& spec,
-                                                const RouteTable& routes) {
-  return ExecutionPolicy{}.resolve_backend(estimated_pending_events(spec, routes));
 }
 
 std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory) const {
@@ -138,17 +128,8 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
   if (!cc_factory)
     throw TopologyError(Code::kNullCcFactory,
                         "ScenarioBuilder: null congestion-control factory");
-  validate_topology(spec_);
-  RouteTable routes = compute_routes(spec_);
-
-  // Routability is a spec property, so reject before wiring anything.
-  for (const auto& flow : spec_.flows) {
-    const std::size_t src = *node_index(spec_, flow.src);
-    const std::size_t dst = *node_index(spec_, flow.dst);
-    if (!routes.reachable(src, dst))
-      throw TopologyError(Code::kUnroutableFlow,
-                          "topology: no path from '" + flow.src + "' to '" + flow.dst + "'");
-  }
+  // Structure and routability are spec properties: reject before wiring.
+  RouteTable routes = validated_routes(spec_);
 
   // Fluid pre-pass: walk every flow's route once. Fluid routes are pinned
   // into one partition (their integration must stay local) and their
@@ -256,12 +237,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
     assignment.assign(spec_.nodes.size(), 0);
   }
   const std::size_t parts = std::max<std::size_t>(sim::partition_count(assignment), 1);
-
-  // Backend auto-select sees each partition's share of the pending-event
-  // estimate — a partition runs its own scheduler over roughly 1/parts of
-  // the events.
-  const std::size_t estimated = estimated_pending_events(spec_, routes);
-  const sim::QueueBackend backend = policy.resolve_backend(estimated / parts);
+  const sim::QueueBackend backend = policy.resolve_backend();
 
   // make_unique needs a public constructor; the builder is a friend, so
   // construct directly.

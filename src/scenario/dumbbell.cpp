@@ -8,7 +8,6 @@ namespace rss::scenario {
 TopologySpec Dumbbell::make_spec(const Config& config) {
   TopologySpec spec;
   spec.seed = config.seed;
-  spec.backend = config.backend;
   spec.execution = config.execution;
 
   spec.nodes = {"routerL", "routerR"};

@@ -15,18 +15,15 @@ enum class PartitionStrategy {
 };
 
 /// The single execution-configuration object for a scenario: queue backend,
-/// partitioning, and thread budget in one place. Before this existed the
-/// knobs were scattered — WanPath/Dumbbell carried their own
-/// Config::backend, the builder hid the auto-select constant, and
-/// parallel_sweep guessed its own worker count. Those surfaces remain as
-/// documented deprecated aliases that forward here.
+/// partitioning, and thread budget in one place. TopologySpec::backend (the
+/// spec file's top-level "backend") remains as a deprecated alias that
+/// forwards here.
 ///
-/// Defaults reproduce the historical behavior exactly: one partition,
-/// auto-selected backend, hardware thread budget.
+/// Defaults: one partition, the binary-heap backend, hardware thread budget.
 struct ExecutionPolicy {
-  /// Event-queue backend for every partition's scheduler; unset =
-  /// auto-select from the estimated pending-event density (see
-  /// resolve_backend).
+  /// Event-queue backend for every partition's scheduler; unset ("auto")
+  /// means the binary heap. Pop order is backend-independent, so this is a
+  /// pure speed knob.
   std::optional<sim::QueueBackend> backend{};
   /// Number of topology partitions to run in parallel; 1 = the classic
   /// single-scheduler run. Requests beyond the node count are clamped.
@@ -41,25 +38,14 @@ struct ExecutionPolicy {
   /// spec. Leave on; off exists only to measure the sort's cost.
   bool deterministic_merge{true};
 
-  /// Estimated pending-event count at which the auto-select picks the
-  /// calendar queue over the binary heap. Derived from the measured
-  /// crossover on bench_micro_substrate (README "Choosing a QueueBackend"):
-  /// a 32-flow dumbbell — 32 flows x (2 timers + 3 links) = 160 pending
-  /// events — is where the calendar starts winning.
-  static constexpr std::size_t kCalendarQueuePendingEvents = 160;
-
   friend bool operator==(const ExecutionPolicy&, const ExecutionPolicy&) = default;
 
   [[nodiscard]] bool partitioned() const { return partitions > 1; }
   [[nodiscard]] bool is_default() const { return *this == ExecutionPolicy{}; }
 
-  /// Backend for one partition, given that partition's share of the
-  /// spec's estimated pending events.
-  [[nodiscard]] sim::QueueBackend resolve_backend(std::size_t estimated_pending) const {
-    if (backend) return *backend;
-    return estimated_pending >= kCalendarQueuePendingEvents
-               ? sim::QueueBackend::kCalendarQueue
-               : sim::QueueBackend::kBinaryHeap;
+  /// Backend every partition's scheduler runs.
+  [[nodiscard]] sim::QueueBackend resolve_backend() const {
+    return backend.value_or(sim::QueueBackend::kBinaryHeap);
   }
 
   /// std::thread::hardware_concurrency(), with the standard-permitted
@@ -74,8 +60,8 @@ struct ExecutionPolicy {
 };
 
 /// Process-wide execution defaults — the lowest-precedence layer of policy
-/// resolution (explicit ExecutionPolicy > deprecated Config/spec backend >
-/// these > built-in auto). The CLI drivers (rss_scenario, rss_artifacts)
+/// resolution (explicit ExecutionPolicy > deprecated spec backend > these >
+/// built-in defaults). The CLI drivers (rss_scenario, rss_artifacts)
 /// install --jobs / --backend / --partitions here, which is how both
 /// binaries share one flag surface and every nested parallel construct
 /// (sweep workers x partition engine threads) draws on a single thread

@@ -29,7 +29,7 @@ FlowCcFactory make_flow_cc_factory(const ScenarioSpec& spec) {
 }
 
 std::unique_ptr<Scenario> build_scenario(const ScenarioSpec& spec) {
-  check_scenario_spec(spec);
+  // The builder runs the same graph checks as check_scenario_spec.
   auto scenario = ScenarioBuilder{spec.topology}.build(make_flow_cc_factory(spec));
   for (std::size_t i = 0; i < spec.topology.flows.size(); ++i) {
     if (!spec.topology.flows[i].start) scenario->start_flow(i, sim::Time::zero());

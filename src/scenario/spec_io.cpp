@@ -1,5 +1,7 @@
 #include "scenario/spec_io.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
@@ -7,11 +9,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
+#include <span>
 #include <sstream>
-#include <unordered_set>
+#include <type_traits>
+#include <utility>
 
-#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
 
 namespace rss::scenario::spec {
@@ -609,548 +613,444 @@ std::string format_rate(net::DataRate rate) {
   return buf;
 }
 
-// --- strict object reader -------------------------------------------------
+// --- schema: one descriptor table per spec struct -------------------------
+// kFields<T> lists, in file order, one Field per JSON key of struct T: the
+// key, the member it binds, and read/write functions derived from the
+// member's type by the decode/encode overloads. read_object walks a table in
+// order, then rejects keys it does not name; write_object emits in the same
+// order and elides members equal to the value-initialized struct's. What a
+// type cannot say is a named guard or check beside the tables.
 
 namespace {
 
-/// Wraps one JSON object for schema parsing: every key must be consumed by
-/// opt()/req() before finish(), so typos ("ifq_pakcets") fail loudly with
-/// kUnknownField instead of silently running the default.
-class ObjectReader {
- public:
-  ObjectReader(const JsonValue& v, std::string path) : v_{v}, path_{std::move(path)} {
-    if (v.type != JsonValue::Type::kObject)
-      fail(SpecError::Code::kWrongType, path_, v.line, "expected an object");
-  }
-
-  [[nodiscard]] const JsonValue* opt(std::string_view key) {
-    consumed_.insert(std::string{key});
-    return v_.find(key);
-  }
-
-  [[nodiscard]] const JsonValue& req(std::string_view key) {
-    const JsonValue* v = opt(key);
-    if (!v)
-      fail(SpecError::Code::kMissingField, path_of(key), v_.line,
-           "missing required field");
-    return *v;
-  }
-
-  [[nodiscard]] std::string path_of(std::string_view key) const { return sub(path_, key); }
-
-  void finish() const {
-    for (const auto& [key, value] : v_.object) {
-      if (!consumed_.count(key))
-        fail(SpecError::Code::kUnknownField, sub(path_, key), value.line,
-             "unknown field \"" + key + "\"");
-    }
-  }
-
- private:
-  const JsonValue& v_;
-  std::string path_;
-  std::set<std::string, std::less<>> consumed_;
+template <typename T>
+struct Field {
+  std::string_view name{};
+  void (*read)(const JsonValue& v, const std::string& path, T& obj){nullptr};
+  /// The member as JSON, or nullopt to elide it (never when keep_default).
+  std::optional<JsonValue> (*write)(const T& obj, bool keep_default){nullptr};
+  /// The requirement (e.g. "qdisc": "red") earlier fields leave unmet, or nullptr.
+  const char* (*guard)(const T& obj){nullptr};
+  /// Value rule run after the read: a range or a name the type cannot say.
+  void (*check)(const T& obj, const JsonValue& v, const std::string& path){nullptr};
+  bool required{false};  ///< reading fails with kMissingField when absent
+  bool always{false};    ///< written even when equal to the default
 };
 
+/// The descriptor table of a spec struct (empty for any other type).
 template <typename T>
-[[nodiscard]] T as_checked_unsigned(const JsonValue& v, const std::string& field) {
-  const std::uint64_t raw = v.as_u64(field);
-  if (raw > std::numeric_limits<T>::max())
-    fail(SpecError::Code::kBadValue, field, v.line, "value out of range");
-  return static_cast<T>(raw);
+constexpr std::array<Field<T>, 0> kFields{};
+
+/// The JSON names of an enum's values (empty for any other type).
+template <typename E, std::size_t N = 0>
+using Names = std::array<std::pair<std::string_view, E>, N>;
+template <typename E>
+constexpr Names<E> kNames{};
+
+template <typename M>
+concept Table = !kFields<M>.empty();
+template <typename M>
+concept Enum = !kNames<M>.empty();
+template <typename M>
+concept List = requires(M& m) { m.emplace_back(); };
+
+void decode(const JsonValue& v, const std::string& path, bool& m) { m = v.as_bool(path); }
+void decode(const JsonValue& v, const std::string& path, double& m) { m = v.as_double(path); }
+void decode(const JsonValue& v, const std::string& path, std::string& m) { m = v.as_string(path); }
+void decode(const JsonValue& v, const std::string& path, sim::Time& m) {
+  m = parse_time(v.as_string(path), path);
+}
+void decode(const JsonValue& v, const std::string& path, std::optional<sim::Time>& m) {
+  m = parse_time(v.as_string(path), path);
+}
+void decode(const JsonValue& v, const std::string& path, net::DataRate& m) {
+  m = parse_rate(v.as_string(path), path);
+}
+void decode(const JsonValue& v, const std::string& /*path*/, JsonValue& m) { m = v; }
+
+JsonValue encode(bool m) { return JsonValue::make_bool(m); }
+JsonValue encode(double m) { return JsonValue::make_number(m); }
+JsonValue encode(const std::string& m) { return JsonValue::make_string(m); }
+JsonValue encode(sim::Time m) { return JsonValue::make_string(format_time(m)); }
+JsonValue encode(const std::optional<sim::Time>& m) { return m ? encode(*m) : JsonValue{}; }
+JsonValue encode(net::DataRate m) { return JsonValue::make_string(format_rate(m)); }
+JsonValue encode(const JsonValue& m) { return m; }
+
+template <typename M>
+using Wide = std::conditional_t<std::is_signed_v<M>, std::int64_t, std::uint64_t>;
+
+template <std::integral M>
+void decode(const JsonValue& v, const std::string& path, M& m) {
+  const Wide<M> raw = std::is_signed_v<M> ? Wide<M>(v.as_i64(path)) : Wide<M>(v.as_u64(path));
+  if (!std::in_range<M>(raw)) fail(SpecError::Code::kBadValue, path, v.line, "value out of range");
+  m = static_cast<M>(raw);
 }
 
-// --- schema: parse --------------------------------------------------------
-
-void parse_red_options(const JsonValue& v, const std::string& path, net::RedQueue::Options& red) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("min_threshold"))
-    red.min_threshold = x->as_double(r.path_of("min_threshold"));
-  if (const auto* x = r.opt("max_threshold"))
-    red.max_threshold = x->as_double(r.path_of("max_threshold"));
-  if (const auto* x = r.opt("max_drop_probability"))
-    red.max_drop_probability = x->as_double(r.path_of("max_drop_probability"));
-  if (const auto* x = r.opt("queue_weight"))
-    red.queue_weight = x->as_double(r.path_of("queue_weight"));
-  r.finish();
+template <std::integral M>
+JsonValue encode(M m) {
+  return JsonValue::make_number(static_cast<Wide<M>>(m));
 }
 
-void parse_codel_options(const JsonValue& v, const std::string& path,
-                         net::CodelQueue::Options& codel) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("target"))
-    codel.target = parse_time(x->as_string(r.path_of("target")), r.path_of("target"));
-  if (const auto* x = r.opt("interval"))
-    codel.interval = parse_time(x->as_string(r.path_of("interval")), r.path_of("interval"));
-  r.finish();
-}
-
-DeviceSpec parse_device(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  DeviceSpec d;
-  if (const auto* x = r.opt("rate"))
-    d.rate = parse_rate(x->as_string(r.path_of("rate")), r.path_of("rate"));
-  if (const auto* x = r.opt("ifq_packets"))
-    d.ifq_packets = as_checked_unsigned<std::size_t>(*x, r.path_of("ifq_packets"));
-  if (const auto* x = r.opt("qdisc")) {
-    const std::string& q = x->as_string(r.path_of("qdisc"));
-    if (q == "droptail") d.qdisc = QueueDiscipline::kDropTail;
-    else if (q == "red") d.qdisc = QueueDiscipline::kRed;
-    else if (q == "codel") d.qdisc = QueueDiscipline::kCodel;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("qdisc"), x->line,
-           "unknown qdisc '" + q + "' (expected \"droptail\", \"red\", or \"codel\")");
-  }
-  if (const auto* x = r.opt("red")) {
-    if (d.qdisc != QueueDiscipline::kRed)
-      fail(SpecError::Code::kBadValue, r.path_of("red"), x->line,
-           "red options require \"qdisc\": \"red\"");
-    parse_red_options(*x, r.path_of("red"), d.red);
-  }
-  if (const auto* x = r.opt("codel")) {
-    if (d.qdisc != QueueDiscipline::kCodel)
-      fail(SpecError::Code::kBadValue, r.path_of("codel"), x->line,
-           "codel options require \"qdisc\": \"codel\"");
-    parse_codel_options(*x, r.path_of("codel"), d.codel);
-  }
-  if (const auto* x = r.opt("ecn_threshold"))
-    d.ecn_threshold = as_checked_unsigned<std::size_t>(*x, r.path_of("ecn_threshold"));
-  if (const auto* x = r.opt("name")) d.name = x->as_string(r.path_of("name"));
-  r.finish();
-  return d;
-}
-
-LinkSpec parse_link(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  LinkSpec l;
-  l.a = r.req("a").as_string(r.path_of("a"));
-  l.b = r.req("b").as_string(r.path_of("b"));
-  if (const auto* x = r.opt("delay"))
-    l.delay = parse_time(x->as_string(r.path_of("delay")), r.path_of("delay"));
-  if (const auto* x = r.opt("a_dev")) l.a_dev = parse_device(*x, r.path_of("a_dev"));
-  if (const auto* x = r.opt("b_dev")) l.b_dev = parse_device(*x, r.path_of("b_dev"));
-  r.finish();
-  return l;
-}
-
-void parse_rtt_options(const JsonValue& v, const std::string& path,
-                       tcp::RttEstimator::Options& rtt) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_rto"))
-    rtt.initial_rto = parse_time(x->as_string(r.path_of("initial_rto")), r.path_of("initial_rto"));
-  if (const auto* x = r.opt("min_rto"))
-    rtt.min_rto = parse_time(x->as_string(r.path_of("min_rto")), r.path_of("min_rto"));
-  if (const auto* x = r.opt("max_rto"))
-    rtt.max_rto = parse_time(x->as_string(r.path_of("max_rto")), r.path_of("max_rto"));
-  if (const auto* x = r.opt("alpha")) rtt.alpha = x->as_double(r.path_of("alpha"));
-  if (const auto* x = r.opt("beta")) rtt.beta = x->as_double(r.path_of("beta"));
-  if (const auto* x = r.opt("k"))
-    rtt.k = static_cast<int>(x->as_i64(r.path_of("k")));
-  r.finish();
-}
-
-void parse_sender_options(const JsonValue& v, const std::string& path,
-                          tcp::TcpSender::Options& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("mss"))
-    o.mss = as_checked_unsigned<std::uint32_t>(*x, r.path_of("mss"));
-  if (const auto* x = r.opt("initial_seq"))
-    o.initial_seq = as_checked_unsigned<std::uint32_t>(*x, r.path_of("initial_seq"));
-  if (const auto* x = r.opt("rwnd_limit_bytes"))
-    o.rwnd_limit_bytes = x->as_u64(r.path_of("rwnd_limit_bytes"));
-  if (const auto* x = r.opt("stall_retry_delay"))
-    o.stall_retry_delay =
-        parse_time(x->as_string(r.path_of("stall_retry_delay")), r.path_of("stall_retry_delay"));
-  if (const auto* x = r.opt("enable_sack")) o.enable_sack = x->as_bool(r.path_of("enable_sack"));
-  if (const auto* x = r.opt("cwnd_validation"))
-    o.cwnd_validation = x->as_bool(r.path_of("cwnd_validation"));
-  if (const auto* x = r.opt("trace_cwnd")) o.trace_cwnd = x->as_bool(r.path_of("trace_cwnd"));
-  if (const auto* x = r.opt("trace_stalls"))
-    o.trace_stalls = x->as_bool(r.path_of("trace_stalls"));
-  if (const auto* x = r.opt("rtt")) parse_rtt_options(*x, r.path_of("rtt"), o.rtt);
-  r.finish();
-}
-
-void parse_receiver_options(const JsonValue& v, const std::string& path,
-                            tcp::TcpReceiver::Options& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_seq"))
-    o.initial_seq = as_checked_unsigned<std::uint32_t>(*x, r.path_of("initial_seq"));
-  if (const auto* x = r.opt("advertised_window"))
-    o.advertised_window = as_checked_unsigned<std::uint32_t>(*x, r.path_of("advertised_window"));
-  if (const auto* x = r.opt("ack_every"))
-    o.ack_every = static_cast<int>(x->as_i64(r.path_of("ack_every")));
-  if (const auto* x = r.opt("delayed_ack_timeout"))
-    o.delayed_ack_timeout = parse_time(x->as_string(r.path_of("delayed_ack_timeout")),
-                                       r.path_of("delayed_ack_timeout"));
-  if (const auto* x = r.opt("enable_sack")) o.enable_sack = x->as_bool(r.path_of("enable_sack"));
-  if (const auto* x = r.opt("quickack_segments"))
-    o.quickack_segments = x->as_u64(r.path_of("quickack_segments"));
-  r.finish();
-}
-
-void parse_fluid_options(const JsonValue& v, const std::string& path, net::FluidOptions& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_rate"))
-    o.initial_rate = parse_rate(x->as_string(r.path_of("initial_rate")), r.path_of("initial_rate"));
-  if (const auto* x = r.opt("peak_rate"))
-    o.peak_rate = parse_rate(x->as_string(r.path_of("peak_rate")), r.path_of("peak_rate"));
-  if (const auto* x = r.opt("stride"))
-    o.stride = parse_time(x->as_string(r.path_of("stride")), r.path_of("stride"));
-  if (const auto* x = r.opt("packet_bytes"))
-    o.packet_bytes = as_checked_unsigned<std::uint32_t>(*x, r.path_of("packet_bytes"));
-  if (const auto* x = r.opt("rtt"))
-    o.rtt = parse_time(x->as_string(r.path_of("rtt")), r.path_of("rtt"));
-  if (const auto* x = r.opt("decrease")) {
-    const std::string field = r.path_of("decrease");
-    o.decrease = x->as_double(field);
-    if (o.decrease <= 0.0 || o.decrease >= 1.0)
-      fail(SpecError::Code::kBadValue, field, x->line, "decrease factor must be in (0, 1)");
-  }
-  r.finish();
-}
-
-FlowSpec parse_flow(const JsonValue& v, const std::string& path, std::string& cc) {
-  ObjectReader r{v, path};
-  FlowSpec f;
-  f.src = r.req("src").as_string(r.path_of("src"));
-  f.dst = r.req("dst").as_string(r.path_of("dst"));
-  if (const auto* x = r.opt("id"))
-    f.flow_id = as_checked_unsigned<std::uint32_t>(*x, r.path_of("id"));
-  if (const auto* x = r.opt("start"))
-    f.start = parse_time(x->as_string(r.path_of("start")), r.path_of("start"));
-  if (const auto* x = r.opt("model")) {
-    const std::string& m = x->as_string(r.path_of("model"));
-    if (m == "packet") f.model = TrafficModel::kPacket;
-    else if (m == "fluid") f.model = TrafficModel::kFluid;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("model"), x->line,
-           "unknown traffic model '" + m + "' (expected \"packet\" or \"fluid\")");
-  }
-  if (f.model == TrafficModel::kFluid) {
-    // A fluid aggregate has no TCP machinery: reject the packet-only
-    // fields outright instead of silently ignoring them.
-    for (const char* key : {"cc", "ecn", "sender", "receiver", "web100"}) {
-      if (const auto* x = r.opt(key))
-        fail(SpecError::Code::kBadValue, r.path_of(key), x->line,
-             std::string{"\""} + key + "\" is packet-only; a fluid flow takes its "
-             "dynamics from \"fluid\"");
+template <Enum M>
+void decode(const JsonValue& v, const std::string& path, M& m) {
+  const std::string& name = v.as_string(path);
+  std::string expected;
+  for (const auto& [text, value] : kNames<M>) {
+    if (text == name) {
+      m = value;
+      return;
     }
-    if (const auto* x = r.opt("fluid")) parse_fluid_options(*x, r.path_of("fluid"), f.fluid);
-    cc = "reno";  // placeholder; never consulted for fluid flows
-    r.finish();
-    return f;
+    expected += (expected.empty() ? "\"" : ", \"") + std::string{text} + "\"";
   }
-  if (const auto* x = r.opt("fluid"))
-    fail(SpecError::Code::kBadValue, r.path_of("fluid"), x->line,
-         "fluid options require \"model\": \"fluid\"");
-  cc = "reno";
-  if (const auto* x = r.opt("cc")) {
-    cc = x->as_string(r.path_of("cc"));
-    try {
-      (void)factory_by_name(cc);
-    } catch (const std::invalid_argument&) {
-      std::string known;
-      for (const auto& n : variant_names()) known += (known.empty() ? "" : ", ") + n;
-      fail(SpecError::Code::kBadValue, r.path_of("cc"), x->line,
-           "unknown congestion-control variant '" + cc + "' (known: " + known + ")");
+  fail(SpecError::Code::kBadValue, path, v.line,
+       "unknown value '" + name + "' (expected " + expected + ")");
+}
+
+template <Enum M>
+JsonValue encode(const M& m) {
+  for (const auto& [text, value] : kNames<M>)
+    if (value == m) return JsonValue::make_string(std::string{text});
+  return JsonValue::make_null();  // unreachable: every enumerator is named
+}
+
+template <typename T>
+void read_object(std::span<const Field<T>> fields, const JsonValue& v, const std::string& path,
+                 T& obj) {
+  if (!v.is_object()) fail(SpecError::Code::kWrongType, path, v.line, "expected an object");
+  for (const Field<T>& f : fields) {
+    const JsonValue* x = v.find(f.name);
+    if (!x && f.required)
+      fail(SpecError::Code::kMissingField, sub(path, f.name), v.line, "missing required field");
+    if (!x) continue;
+    const std::string at = sub(path, f.name);
+    if (const char* unmet = f.guard ? f.guard(obj) : nullptr)
+      fail(SpecError::Code::kBadValue, at, x->line, std::string{"only valid with "} + unmet);
+    f.read(*x, at, obj);
+    if (f.check) f.check(obj, *x, at);
+  }
+  for (const auto& [key, value] : v.object) {
+    if (std::ranges::none_of(fields, [&](const Field<T>& f) { return f.name == key; }))
+      fail(SpecError::Code::kUnknownField, sub(path, key), value.line,
+           "unknown field \"" + key + "\"");
+  }
+}
+
+/// A block missing a required key comes out empty, so its parent elides it.
+template <typename T>
+[[nodiscard]] JsonValue write_object(std::span<const Field<T>> fields, const T& obj) {
+  JsonValue o = JsonValue::make_object();
+  for (const Field<T>& f : fields) {
+    if (f.guard && f.guard(obj)) continue;
+    std::optional<JsonValue> j = f.write(obj, f.always);
+    if (!j && f.required) return JsonValue::make_object();
+    if (j) o.object.emplace_back(std::string{f.name}, std::move(*j));
+  }
+  return o;
+}
+
+template <Table M>
+void decode(const JsonValue& v, const std::string& path, M& obj) {
+  read_object<M>(kFields<M>, v, path, obj);
+}
+
+template <Table M>
+JsonValue encode(const M& obj) {
+  return write_object<M>(kFields<M>, obj);
+}
+
+template <List M>
+void decode(const JsonValue& v, const std::string& path, M& m) {
+  if (!v.is_array()) fail(SpecError::Code::kWrongType, path, v.line, "expected an array");
+  m.reserve(v.array.size());
+  for (std::size_t i = 0; i < v.array.size(); ++i)
+    decode(v.array[i], idx(path, i), m.emplace_back());
+}
+
+template <List M>
+JsonValue encode(const M& list) {
+  JsonValue a = JsonValue::make_array();
+  for (const auto& e : list) a.array.push_back(encode(e));
+  return a;
+}
+
+template <typename C, typename M>
+C owner_of(M C::*);
+template <auto First, auto...>
+struct PathOwner {
+  using type = decltype(owner_of(First));
+};
+
+/// The descriptor for the member at `Path`: one member pointer, or a chain
+/// into a nested struct. Blocks and lists are elided when empty, anything
+/// else when equal to the value-initialized owner's member.
+template <auto... Path, typename T = typename PathOwner<Path...>::type>
+[[nodiscard]] constexpr Field<T> field(std::string_view name, Field<T> f = {}) {
+  f.name = name;
+  f.read = [](const JsonValue& v, const std::string& path, T& obj) {
+    decode(v, path, (obj .* ... .* Path));
+  };
+  f.write = [](const T& obj, bool keep_default) -> std::optional<JsonValue> {
+    const auto& m = (obj .* ... .* Path);
+    if constexpr (Table<std::remove_cvref_t<decltype(m)>> ||
+                  List<std::remove_cvref_t<decltype(m)>>) {
+      JsonValue j = encode(m);
+      if (!keep_default && j.object.empty() && j.array.empty()) return std::nullopt;
+      return j;
+    } else {
+      static const T defaults{};
+      if (!keep_default && m == (defaults .* ... .* Path)) return std::nullopt;
+      return encode(m);
     }
-  }
-  if (const auto* x = r.opt("ecn")) f.ecn = x->as_bool(r.path_of("ecn"));
-  if (const auto* x = r.opt("sender")) parse_sender_options(*x, r.path_of("sender"), f.sender);
-  if (const auto* x = r.opt("receiver"))
-    parse_receiver_options(*x, r.path_of("receiver"), f.receiver);
-  if (const auto* x = r.opt("web100")) {
-    ObjectReader w{*x, r.path_of("web100")};
-    f.web100 = true;
-    if (const auto* p = w.opt("poll"))
-      f.web100_poll_period = parse_time(p->as_string(w.path_of("poll")), w.path_of("poll"));
-    w.finish();
-  }
-  r.finish();
+  };
   return f;
 }
 
-SweepSpec parse_sweep(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  SweepSpec sweep;
-  if (const auto* x = r.opt("mode")) {
-    const std::string& m = x->as_string(r.path_of("mode"));
-    if (m == "grid") sweep.mode = SweepSpec::Mode::kGrid;
-    else if (m == "zip") sweep.mode = SweepSpec::Mode::kZip;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("mode"), x->line,
-           "unknown sweep mode '" + m + "' (expected \"grid\" or \"zip\")");
+// --- enum names, guards and checks ----------------------------------------
+
+template <>
+constexpr Names<QueueDiscipline, 3> kNames<QueueDiscipline>{
+    {{"droptail", QueueDiscipline::kDropTail},
+     {"red", QueueDiscipline::kRed},
+     {"codel", QueueDiscipline::kCodel}}};
+template <>
+constexpr Names<TrafficModel, 2> kNames<TrafficModel>{
+    {{"packet", TrafficModel::kPacket}, {"fluid", TrafficModel::kFluid}}};
+template <>
+constexpr Names<std::optional<sim::QueueBackend>, 3> kNames<std::optional<sim::QueueBackend>>{
+    {{"binary_heap", sim::QueueBackend::kBinaryHeap},
+     {"calendar_queue", sim::QueueBackend::kCalendarQueue},
+     {"auto", std::nullopt}}};
+template <>
+constexpr Names<PartitionStrategy, 2> kNames<PartitionStrategy>{
+    {{"auto", PartitionStrategy::kAuto}, {"block", PartitionStrategy::kBlock}}};
+template <>
+constexpr Names<SweepSpec::Mode, 2> kNames<SweepSpec::Mode>{
+    {{"grid", SweepSpec::Mode::kGrid}, {"zip", SweepSpec::Mode::kZip}}};
+
+/// A flow as the file writes it: the FlowSpec plus its cc (ScenarioSpec::flow_cc).
+struct FlowEntry {
+  FlowSpec flow;
+  std::string cc{"reno"};
+};
+constexpr auto kFlow = &FlowEntry::flow;
+constexpr auto kTopology = &ScenarioSpec::topology;
+
+const char* needs_red(const DeviceSpec& d) {
+  return d.qdisc == QueueDiscipline::kRed ? nullptr : R"("qdisc": "red")";
+}
+const char* needs_codel(const DeviceSpec& d) {
+  return d.qdisc == QueueDiscipline::kCodel ? nullptr : R"("qdisc": "codel")";
+}
+const char* needs_fluid(const FlowEntry& e) {
+  return e.flow.model == TrafficModel::kFluid ? nullptr : R"("model": "fluid")";
+}
+
+/// A fluid aggregate has no TCP machinery: packet-only keys are rejected
+/// on it, not silently ignored.
+const char* needs_packet(const FlowEntry& e) {
+  return e.flow.model == TrafficModel::kPacket ? nullptr : R"("model": "packet")";
+}
+
+void check_cc(const FlowEntry& e, const JsonValue& v, const std::string& path) {
+  try {
+    (void)factory_by_name(e.cc);
+  } catch (const std::invalid_argument&) {
+    std::string known;
+    for (const auto& n : variant_names()) known += (known.empty() ? "" : ", ") + n;
+    fail(SpecError::Code::kBadValue, path, v.line,
+         "unknown congestion-control variant '" + e.cc + "' (known: " + known + ")");
   }
-  const JsonValue& axes = r.req("axes");
-  if (!axes.is_array())
-    fail(SpecError::Code::kWrongType, r.path_of("axes"), axes.line, "expected an array");
-  for (std::size_t i = 0; i < axes.array.size(); ++i) {
-    const std::string axis_path = idx(r.path_of("axes"), i);
-    ObjectReader a{axes.array[i], axis_path};
-    SweepAxis axis;
-    axis.field = a.req("field").as_string(sub(axis_path, "field"));
-    const JsonValue& values = a.req("values");
-    if (!values.is_array())
-      fail(SpecError::Code::kWrongType, sub(axis_path, "values"), values.line,
-           "expected an array");
-    if (values.array.empty())
-      fail(SpecError::Code::kBadSweep, sub(axis_path, "values"), values.line,
-           "sweep axis has no values");
-    for (const auto& value : values.array) {
-      if (value.is_array() || value.is_object())
-        fail(SpecError::Code::kBadSweep, sub(axis_path, "values"), value.line,
-             "sweep values must be scalars");
-      axis.values.push_back(value);
-    }
-    a.finish();
-    sweep.axes.push_back(std::move(axis));
+}
+
+void check_decrease(const net::FluidOptions& o, const JsonValue& v, const std::string& path) {
+  if (o.decrease <= 0.0 || o.decrease >= 1.0)
+    fail(SpecError::Code::kBadValue, path, v.line, "decrease factor must be in (0, 1)");
+}
+
+void check_partitions(const ExecutionPolicy& p, const JsonValue& v, const std::string& path) {
+  if (p.partitions == 0) fail(SpecError::Code::kBadValue, path, v.line, "partitions must be >= 1");
+}
+
+void check_axis_values(const SweepAxis& axis, const JsonValue& v, const std::string& path) {
+  if (axis.values.empty())
+    fail(SpecError::Code::kBadSweep, path, v.line, "sweep axis has no values");
+  for (const auto& value : axis.values) {
+    if (value.is_array() || value.is_object())
+      fail(SpecError::Code::kBadSweep, path, value.line, "sweep values must be scalars");
   }
-  if (sweep.mode == SweepSpec::Mode::kZip && !sweep.axes.empty()) {
-    const std::size_t len = sweep.axes.front().values.size();
-    for (const auto& axis : sweep.axes) {
-      if (axis.values.size() != len)
-        fail(SpecError::Code::kBadSweep, sub(path, "axes"), v.line,
-             "zip sweep axes must have equal lengths (axis '" +
-                 sweep.axes.front().field + "' has " + std::to_string(len) + ", axis '" +
-                 axis.field + "' has " + std::to_string(axis.values.size()) + ")");
-    }
-  }
-  r.finish();
-  return sweep;
 }
 
-// --- schema: serialize ----------------------------------------------------
-
-JsonValue red_to_json(const net::RedQueue::Options& red) {
-  const net::RedQueue::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (red.min_threshold != def.min_threshold)
-    o.set("min_threshold", JsonValue::make_number(red.min_threshold));
-  if (red.max_threshold != def.max_threshold)
-    o.set("max_threshold", JsonValue::make_number(red.max_threshold));
-  if (red.max_drop_probability != def.max_drop_probability)
-    o.set("max_drop_probability", JsonValue::make_number(red.max_drop_probability));
-  if (red.queue_weight != def.queue_weight)
-    o.set("queue_weight", JsonValue::make_number(red.queue_weight));
-  return o;
-}
-
-JsonValue codel_to_json(const net::CodelQueue::Options& codel) {
-  const net::CodelQueue::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (codel.target != def.target)
-    o.set("target", JsonValue::make_string(format_time(codel.target)));
-  if (codel.interval != def.interval)
-    o.set("interval", JsonValue::make_string(format_time(codel.interval)));
-  return o;
-}
-
-JsonValue device_to_json(const DeviceSpec& d) {
-  const DeviceSpec def{};
-  JsonValue o = JsonValue::make_object();
-  if (d.rate != def.rate) o.set("rate", JsonValue::make_string(format_rate(d.rate)));
-  if (d.ifq_packets != def.ifq_packets)
-    o.set("ifq_packets", JsonValue::make_number(static_cast<std::uint64_t>(d.ifq_packets)));
-  if (d.qdisc == QueueDiscipline::kRed) {
-    o.set("qdisc", JsonValue::make_string("red"));
-    JsonValue red = red_to_json(d.red);
-    if (!red.object.empty()) o.set("red", std::move(red));
-  } else if (d.qdisc == QueueDiscipline::kCodel) {
-    o.set("qdisc", JsonValue::make_string("codel"));
-    JsonValue codel = codel_to_json(d.codel);
-    if (!codel.object.empty()) o.set("codel", std::move(codel));
-  }
-  if (d.ecn_threshold != def.ecn_threshold)
-    o.set("ecn_threshold",
-          JsonValue::make_number(static_cast<std::uint64_t>(d.ecn_threshold)));
-  if (!d.name.empty()) o.set("name", JsonValue::make_string(d.name));
-  return o;
-}
-
-JsonValue link_to_json(const LinkSpec& l) {
-  JsonValue o = JsonValue::make_object();
-  o.set("a", JsonValue::make_string(l.a));
-  o.set("b", JsonValue::make_string(l.b));
-  o.set("delay", JsonValue::make_string(format_time(l.delay)));
-  JsonValue a_dev = device_to_json(l.a_dev);
-  if (!a_dev.object.empty()) o.set("a_dev", std::move(a_dev));
-  JsonValue b_dev = device_to_json(l.b_dev);
-  if (!b_dev.object.empty()) o.set("b_dev", std::move(b_dev));
-  return o;
-}
-
-JsonValue rtt_to_json(const tcp::RttEstimator::Options& rtt) {
-  const tcp::RttEstimator::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (rtt.initial_rto != def.initial_rto)
-    o.set("initial_rto", JsonValue::make_string(format_time(rtt.initial_rto)));
-  if (rtt.min_rto != def.min_rto)
-    o.set("min_rto", JsonValue::make_string(format_time(rtt.min_rto)));
-  if (rtt.max_rto != def.max_rto)
-    o.set("max_rto", JsonValue::make_string(format_time(rtt.max_rto)));
-  if (rtt.alpha != def.alpha) o.set("alpha", JsonValue::make_number(rtt.alpha));
-  if (rtt.beta != def.beta) o.set("beta", JsonValue::make_number(rtt.beta));
-  if (rtt.k != def.k) o.set("k", JsonValue::make_number(static_cast<std::int64_t>(rtt.k)));
-  return o;
-}
-
-JsonValue sender_to_json(const tcp::TcpSender::Options& o) {
-  const tcp::TcpSender::Options def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.mss != def.mss) j.set("mss", JsonValue::make_number(static_cast<std::uint64_t>(o.mss)));
-  if (o.initial_seq != def.initial_seq)
-    j.set("initial_seq", JsonValue::make_number(static_cast<std::uint64_t>(o.initial_seq)));
-  if (o.rwnd_limit_bytes != def.rwnd_limit_bytes)
-    j.set("rwnd_limit_bytes", JsonValue::make_number(o.rwnd_limit_bytes));
-  if (o.stall_retry_delay != def.stall_retry_delay)
-    j.set("stall_retry_delay", JsonValue::make_string(format_time(o.stall_retry_delay)));
-  if (o.enable_sack != def.enable_sack) j.set("enable_sack", JsonValue::make_bool(o.enable_sack));
-  if (o.cwnd_validation != def.cwnd_validation)
-    j.set("cwnd_validation", JsonValue::make_bool(o.cwnd_validation));
-  if (o.trace_cwnd != def.trace_cwnd) j.set("trace_cwnd", JsonValue::make_bool(o.trace_cwnd));
-  if (o.trace_stalls != def.trace_stalls)
-    j.set("trace_stalls", JsonValue::make_bool(o.trace_stalls));
-  JsonValue rtt = rtt_to_json(o.rtt);
-  if (!rtt.object.empty()) j.set("rtt", std::move(rtt));
-  return j;
-}
-
-JsonValue receiver_to_json(const tcp::TcpReceiver::Options& o) {
-  const tcp::TcpReceiver::Options def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.initial_seq != def.initial_seq)
-    j.set("initial_seq", JsonValue::make_number(static_cast<std::uint64_t>(o.initial_seq)));
-  if (o.advertised_window != def.advertised_window)
-    j.set("advertised_window",
-          JsonValue::make_number(static_cast<std::uint64_t>(o.advertised_window)));
-  if (o.ack_every != def.ack_every)
-    j.set("ack_every", JsonValue::make_number(static_cast<std::int64_t>(o.ack_every)));
-  if (o.delayed_ack_timeout != def.delayed_ack_timeout)
-    j.set("delayed_ack_timeout", JsonValue::make_string(format_time(o.delayed_ack_timeout)));
-  if (o.enable_sack != def.enable_sack) j.set("enable_sack", JsonValue::make_bool(o.enable_sack));
-  if (o.quickack_segments != def.quickack_segments)
-    j.set("quickack_segments", JsonValue::make_number(o.quickack_segments));
-  return j;
-}
-
-JsonValue fluid_to_json(const net::FluidOptions& o) {
-  const net::FluidOptions def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.initial_rate != def.initial_rate)
-    j.set("initial_rate", JsonValue::make_string(format_rate(o.initial_rate)));
-  if (o.peak_rate != def.peak_rate)
-    j.set("peak_rate", JsonValue::make_string(format_rate(o.peak_rate)));
-  if (o.stride != def.stride) j.set("stride", JsonValue::make_string(format_time(o.stride)));
-  if (o.packet_bytes != def.packet_bytes)
-    j.set("packet_bytes", JsonValue::make_number(static_cast<std::uint64_t>(o.packet_bytes)));
-  if (o.rtt != def.rtt) j.set("rtt", JsonValue::make_string(format_time(o.rtt)));
-  if (o.decrease != def.decrease) j.set("decrease", JsonValue::make_number(o.decrease));
-  return j;
-}
-
-JsonValue flow_to_json(const FlowSpec& f, const std::string& cc) {
-  JsonValue o = JsonValue::make_object();
-  o.set("src", JsonValue::make_string(f.src));
-  o.set("dst", JsonValue::make_string(f.dst));
-  if (f.flow_id != 0)
-    o.set("id", JsonValue::make_number(static_cast<std::uint64_t>(f.flow_id)));
-  if (f.start) o.set("start", JsonValue::make_string(format_time(*f.start)));
-  if (f.model == TrafficModel::kFluid) {
-    o.set("model", JsonValue::make_string("fluid"));
-    JsonValue fluid = fluid_to_json(f.fluid);
-    if (!fluid.object.empty()) o.set("fluid", std::move(fluid));
-    return o;
-  }
-  o.set("cc", JsonValue::make_string(cc));
-  if (f.ecn) o.set("ecn", JsonValue::make_bool(true));
-  JsonValue sender = sender_to_json(f.sender);
-  if (!sender.object.empty()) o.set("sender", std::move(sender));
-  JsonValue receiver = receiver_to_json(f.receiver);
-  if (!receiver.object.empty()) o.set("receiver", std::move(receiver));
-  if (f.web100) {
-    JsonValue w = JsonValue::make_object();
-    if (f.web100_poll_period != FlowSpec{}.web100_poll_period)
-      w.set("poll", JsonValue::make_string(format_time(f.web100_poll_period)));
-    o.set("web100", std::move(w));
-  }
-  return o;
-}
-
-[[nodiscard]] std::optional<sim::QueueBackend> parse_backend_name(const JsonValue& x,
-                                                                  const std::string& field) {
-  const std::string& b = x.as_string(field);
-  if (b == "binary_heap") return sim::QueueBackend::kBinaryHeap;
-  if (b == "calendar_queue") return sim::QueueBackend::kCalendarQueue;
-  if (b == "auto") return std::nullopt;
-  fail(SpecError::Code::kBadValue, field, x.line,
-       "unknown backend '" + b +
-           "' (expected \"binary_heap\", \"calendar_queue\", or \"auto\")");
-}
-
-[[nodiscard]] ExecutionPolicy parse_execution(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  ExecutionPolicy policy;
-  if (const auto* x = r.opt("backend"))
-    policy.backend = parse_backend_name(*x, r.path_of("backend"));
-  if (const auto* x = r.opt("partitions")) {
-    const std::string field = r.path_of("partitions");
-    policy.partitions = static_cast<std::size_t>(x->as_u64(field));
-    if (policy.partitions == 0)
-      fail(SpecError::Code::kBadValue, field, x->line, "partitions must be >= 1");
-  }
-  if (const auto* x = r.opt("strategy")) {
-    const std::string field = r.path_of("strategy");
-    const std::string& s = x->as_string(field);
-    if (s == "auto") policy.strategy = PartitionStrategy::kAuto;
-    else if (s == "block") policy.strategy = PartitionStrategy::kBlock;
-    else
-      fail(SpecError::Code::kBadValue, field, x->line,
-           "unknown strategy '" + s + "' (expected \"auto\" or \"block\")");
-  }
-  if (const auto* x = r.opt("threads"))
-    policy.threads = static_cast<std::size_t>(x->as_u64(r.path_of("threads")));
-  if (const auto* x = r.opt("deterministic_merge"))
-    policy.deterministic_merge = x->as_bool(r.path_of("deterministic_merge"));
-  r.finish();
-  return policy;
-}
-
-/// Defaults elided field-by-field so a spec that only sets `partitions`
-/// round-trips as exactly {"partitions": N}.
-[[nodiscard]] JsonValue execution_to_json(const ExecutionPolicy& policy) {
-  const ExecutionPolicy def{};
-  JsonValue o = JsonValue::make_object();
-  if (policy.backend)
-    o.set("backend", JsonValue::make_string(*policy.backend == sim::QueueBackend::kBinaryHeap
-                                                ? "binary_heap"
-                                                : "calendar_queue"));
-  if (policy.partitions != def.partitions)
-    o.set("partitions",
-          JsonValue::make_number(static_cast<std::uint64_t>(policy.partitions)));
-  if (policy.strategy != def.strategy) o.set("strategy", JsonValue::make_string("block"));
-  if (policy.threads != def.threads)
-    o.set("threads", JsonValue::make_number(static_cast<std::uint64_t>(policy.threads)));
-  if (policy.deterministic_merge != def.deterministic_merge)
-    o.set("deterministic_merge", JsonValue::make_bool(policy.deterministic_merge));
-  return o;
-}
-
-JsonValue sweep_to_json(const SweepSpec& sweep) {
-  JsonValue o = JsonValue::make_object();
-  if (sweep.mode == SweepSpec::Mode::kZip) o.set("mode", JsonValue::make_string("zip"));
-  JsonValue axes = JsonValue::make_array();
+void check_zip_lengths(const SweepSpec& sweep, const JsonValue& v, const std::string& path) {
+  if (sweep.mode != SweepSpec::Mode::kZip) return;
   for (const auto& axis : sweep.axes) {
-    JsonValue a = JsonValue::make_object();
-    a.set("field", JsonValue::make_string(axis.field));
-    JsonValue values = JsonValue::make_array();
-    values.array = axis.values;
-    a.set("values", std::move(values));
-    axes.array.push_back(std::move(a));
+    const std::size_t len = sweep.axes.front().values.size();
+    if (axis.values.size() != len)
+      fail(SpecError::Code::kBadSweep, path, v.line,
+           "zip sweep axes must have equal lengths (axis '" + sweep.axes.front().field +
+               "' has " + std::to_string(len) + ", axis '" + axis.field + "' has " +
+               std::to_string(axis.values.size()) + ")");
   }
-  o.set("axes", std::move(axes));
-  return o;
 }
+
+/// "web100": {...} attaches a polling agent: the block's presence is the
+/// bool FlowSpec::web100, and it is written whenever that is set.
+constexpr std::array kWeb100Fields{field<&FlowSpec::web100_poll_period>("poll")};
+
+void read_web100(const JsonValue& v, const std::string& path, FlowEntry& e) {
+  e.flow.web100 = true;
+  read_object<FlowSpec>(kWeb100Fields, v, path, e.flow);
+}
+
+std::optional<JsonValue> write_web100(const FlowEntry& e, bool /*keep_default*/) {
+  if (!e.flow.web100) return std::nullopt;
+  return write_object<FlowSpec>(kWeb100Fields, e.flow);
+}
+
+// --- tables ---------------------------------------------------------------
+
+template <>
+constexpr std::array kFields<net::RedQueue::Options>{
+    field<&net::RedQueue::Options::min_threshold>("min_threshold"),
+    field<&net::RedQueue::Options::max_threshold>("max_threshold"),
+    field<&net::RedQueue::Options::max_drop_probability>("max_drop_probability"),
+    field<&net::RedQueue::Options::queue_weight>("queue_weight"),
+};
+template <>
+constexpr std::array kFields<net::CodelQueue::Options>{
+    field<&net::CodelQueue::Options::target>("target"),
+    field<&net::CodelQueue::Options::interval>("interval"),
+};
+template <>
+constexpr std::array kFields<DeviceSpec>{
+    field<&DeviceSpec::rate>("rate"),
+    field<&DeviceSpec::ifq_packets>("ifq_packets"),
+    field<&DeviceSpec::qdisc>("qdisc"),
+    field<&DeviceSpec::red>("red", {.guard = needs_red}),
+    field<&DeviceSpec::codel>("codel", {.guard = needs_codel}),
+    field<&DeviceSpec::ecn_threshold>("ecn_threshold"),
+    field<&DeviceSpec::name>("name"),
+};
+template <>
+constexpr std::array kFields<LinkSpec>{
+    field<&LinkSpec::a>("a", {.required = true, .always = true}),
+    field<&LinkSpec::b>("b", {.required = true, .always = true}),
+    field<&LinkSpec::delay>("delay", {.always = true}),
+    field<&LinkSpec::a_dev>("a_dev"),
+    field<&LinkSpec::b_dev>("b_dev"),
+};
+template <>
+constexpr std::array kFields<tcp::RttEstimator::Options>{
+    field<&tcp::RttEstimator::Options::initial_rto>("initial_rto"),
+    field<&tcp::RttEstimator::Options::min_rto>("min_rto"),
+    field<&tcp::RttEstimator::Options::max_rto>("max_rto"),
+    field<&tcp::RttEstimator::Options::alpha>("alpha"),
+    field<&tcp::RttEstimator::Options::beta>("beta"),
+    field<&tcp::RttEstimator::Options::k>("k"),
+};
+template <>
+constexpr std::array kFields<tcp::TcpSender::Options>{
+    field<&tcp::TcpSender::Options::mss>("mss"),
+    field<&tcp::TcpSender::Options::initial_seq>("initial_seq"),
+    field<&tcp::TcpSender::Options::rwnd_limit_bytes>("rwnd_limit_bytes"),
+    field<&tcp::TcpSender::Options::stall_retry_delay>("stall_retry_delay"),
+    field<&tcp::TcpSender::Options::enable_sack>("enable_sack"),
+    field<&tcp::TcpSender::Options::cwnd_validation>("cwnd_validation"),
+    field<&tcp::TcpSender::Options::trace_cwnd>("trace_cwnd"),
+    field<&tcp::TcpSender::Options::trace_stalls>("trace_stalls"),
+    field<&tcp::TcpSender::Options::rtt>("rtt"),
+};
+template <>
+constexpr std::array kFields<tcp::TcpReceiver::Options>{
+    field<&tcp::TcpReceiver::Options::initial_seq>("initial_seq"),
+    field<&tcp::TcpReceiver::Options::advertised_window>("advertised_window"),
+    field<&tcp::TcpReceiver::Options::ack_every>("ack_every"),
+    field<&tcp::TcpReceiver::Options::delayed_ack_timeout>("delayed_ack_timeout"),
+    field<&tcp::TcpReceiver::Options::enable_sack>("enable_sack"),
+    field<&tcp::TcpReceiver::Options::quickack_segments>("quickack_segments"),
+};
+template <>
+constexpr std::array kFields<net::FluidOptions>{
+    field<&net::FluidOptions::initial_rate>("initial_rate"),
+    field<&net::FluidOptions::peak_rate>("peak_rate"),
+    field<&net::FluidOptions::stride>("stride"),
+    field<&net::FluidOptions::packet_bytes>("packet_bytes"),
+    field<&net::FluidOptions::rtt>("rtt"),
+    field<&net::FluidOptions::decrease>("decrease", {.check = check_decrease}),
+};
+template <>
+constexpr std::array kFields<FlowEntry>{
+    field<kFlow, &FlowSpec::src>("src", {.required = true, .always = true}),
+    field<kFlow, &FlowSpec::dst>("dst", {.required = true, .always = true}),
+    field<kFlow, &FlowSpec::flow_id>("id"),
+    field<kFlow, &FlowSpec::start>("start"),
+    field<kFlow, &FlowSpec::model>("model"),
+    field<kFlow, &FlowSpec::fluid>("fluid", {.guard = needs_fluid}),
+    field<&FlowEntry::cc>("cc", {.guard = needs_packet, .check = check_cc, .always = true}),
+    field<kFlow, &FlowSpec::ecn>("ecn", {.guard = needs_packet}),
+    field<kFlow, &FlowSpec::sender>("sender", {.guard = needs_packet}),
+    field<kFlow, &FlowSpec::receiver>("receiver", {.guard = needs_packet}),
+    Field<FlowEntry>{"web100", read_web100, write_web100, needs_packet},
+};
+template <>
+constexpr std::array kFields<ExecutionPolicy>{
+    field<&ExecutionPolicy::backend>("backend"),
+    field<&ExecutionPolicy::partitions>("partitions", {.check = check_partitions}),
+    field<&ExecutionPolicy::strategy>("strategy"),
+    field<&ExecutionPolicy::threads>("threads"),
+    field<&ExecutionPolicy::deterministic_merge>("deterministic_merge"),
+};
+template <>
+constexpr std::array kFields<RunSpec>{
+    field<&RunSpec::duration>("duration"),
+    field<&RunSpec::measure_start>("measure_start"),
+};
+template <>
+constexpr std::array kFields<SweepAxis>{
+    field<&SweepAxis::field>("field", {.required = true, .always = true}),
+    field<&SweepAxis::values>("values",
+                              {.check = check_axis_values, .required = true, .always = true}),
+};
+template <>
+constexpr std::array kFields<SweepSpec>{
+    field<&SweepSpec::mode>("mode"),
+    field<&SweepSpec::axes>("axes", {.check = check_zip_lengths, .required = true}),
+};
+
+/// ScenarioSpec keeps each flow's cc beside topology.flows, so "flows"
+/// converts through FlowEntry one flow at a time.
+void read_flows(const JsonValue& v, const std::string& path, ScenarioSpec& s) {
+  if (!v.is_array()) fail(SpecError::Code::kWrongType, path, v.line, "expected an array");
+  s.topology.flows.reserve(v.array.size());
+  s.flow_cc.reserve(v.array.size());
+  for (std::size_t i = 0; i < v.array.size(); ++i) {
+    FlowEntry e;
+    decode(v.array[i], idx(path, i), e);
+    s.topology.flows.push_back(std::move(e.flow));
+    s.flow_cc.push_back(std::move(e.cc));
+  }
+}
+
+std::optional<JsonValue> write_flows(const ScenarioSpec& s, bool /*keep_default*/) {
+  if (s.topology.flows.empty()) return std::nullopt;
+  JsonValue flows = JsonValue::make_array();
+  for (std::size_t i = 0; i < s.topology.flows.size(); ++i)
+    flows.array.push_back(
+        encode(FlowEntry{s.topology.flows[i], i < s.flow_cc.size() ? s.flow_cc[i] : "reno"}));
+  return flows;
+}
+
+template <>
+constexpr std::array kFields<ScenarioSpec>{
+    field<&ScenarioSpec::name>("name"),
+    field<kTopology, &TopologySpec::seed>("seed"),
+    field<kTopology, &TopologySpec::backend>("backend"),
+    field<kTopology, &TopologySpec::execution>("execution"),
+    field<kTopology, &TopologySpec::nodes>("nodes", {.required = true, .always = true}),
+    field<kTopology, &TopologySpec::links>("links"),
+    Field<ScenarioSpec>{"flows", read_flows, write_flows},
+    field<&ScenarioSpec::run>("run"),
+    field<&ScenarioSpec::sweep>("sweep"),
+};
 
 }  // namespace
 
@@ -1165,53 +1065,8 @@ std::size_t SweepSpec::point_count() const {
 }
 
 ScenarioSpec parse_scenario_spec(const JsonValue& document) {
-  ObjectReader r{document, ""};
   ScenarioSpec s;
-  s.name = "scenario";
-  if (const auto* x = r.opt("name")) s.name = x->as_string("name");
-  if (const auto* x = r.opt("seed")) s.topology.seed = x->as_u64("seed");
-  // Top-level "backend" is the deprecated alias for execution.backend; both
-  // parse, and the builder resolves the precedence (execution wins).
-  if (const auto* x = r.opt("backend"))
-    s.topology.backend = parse_backend_name(*x, "backend");
-  if (const auto* x = r.opt("execution"))
-    s.topology.execution = parse_execution(*x, "execution");
-
-  const JsonValue& nodes = r.req("nodes");
-  if (!nodes.is_array())
-    fail(SpecError::Code::kWrongType, "nodes", nodes.line, "expected an array");
-  for (std::size_t i = 0; i < nodes.array.size(); ++i)
-    s.topology.nodes.push_back(nodes.array[i].as_string(idx("nodes", i)));
-
-  if (const auto* links = r.opt("links")) {
-    if (!links->is_array())
-      fail(SpecError::Code::kWrongType, "links", links->line, "expected an array");
-    for (std::size_t i = 0; i < links->array.size(); ++i)
-      s.topology.links.push_back(parse_link(links->array[i], idx("links", i)));
-  }
-
-  if (const auto* flows = r.opt("flows")) {
-    if (!flows->is_array())
-      fail(SpecError::Code::kWrongType, "flows", flows->line, "expected an array");
-    for (std::size_t i = 0; i < flows->array.size(); ++i) {
-      std::string cc;
-      s.topology.flows.push_back(parse_flow(flows->array[i], idx("flows", i), cc));
-      s.flow_cc.push_back(std::move(cc));
-    }
-  }
-
-  if (const auto* run = r.opt("run")) {
-    ObjectReader rr{*run, "run"};
-    if (const auto* x = rr.opt("duration"))
-      s.run.duration = parse_time(x->as_string("run.duration"), "run.duration");
-    if (const auto* x = rr.opt("measure_start"))
-      s.run.measure_start = parse_time(x->as_string("run.measure_start"), "run.measure_start");
-    rr.finish();
-  }
-
-  if (const auto* sweep = r.opt("sweep")) s.sweep = parse_sweep(*sweep, "sweep");
-
-  r.finish();
+  decode(document, "", s);
   return s;
 }
 
@@ -1231,66 +1086,9 @@ ScenarioSpec load_scenario_spec(const std::string& path) {
   return parse_scenario_spec(read_spec_file(path));
 }
 
-void check_scenario_spec(const ScenarioSpec& spec) {
-  validate_topology(spec.topology);
-  const RouteTable routes = compute_routes(spec.topology);
-  for (const auto& flow : spec.topology.flows) {
-    const std::size_t src = *node_index(spec.topology, flow.src);
-    const std::size_t dst = *node_index(spec.topology, flow.dst);
-    if (!routes.reachable(src, dst))
-      throw TopologyError(TopologyError::Code::kUnroutableFlow,
-                          "topology: no path from '" + flow.src + "' to '" + flow.dst + "'");
-  }
-}
+void check_scenario_spec(const ScenarioSpec& spec) { (void)validated_routes(spec.topology); }
 
-JsonValue scenario_spec_to_json(const ScenarioSpec& spec) {
-  JsonValue root = JsonValue::make_object();
-  if (spec.name != "scenario") root.set("name", JsonValue::make_string(spec.name));
-  if (spec.topology.seed != TopologySpec{}.seed)
-    root.set("seed", JsonValue::make_number(spec.topology.seed));
-  if (spec.topology.backend) {
-    root.set("backend",
-             JsonValue::make_string(*spec.topology.backend == sim::QueueBackend::kBinaryHeap
-                                        ? "binary_heap"
-                                        : "calendar_queue"));
-  }
-  // Emitted only when non-default, so pre-execution specs (and all the
-  // goldens) stay byte-identical through a round trip.
-  if (!spec.topology.execution.is_default())
-    root.set("execution", execution_to_json(spec.topology.execution));
-
-  JsonValue nodes = JsonValue::make_array();
-  for (const auto& n : spec.topology.nodes) nodes.array.push_back(JsonValue::make_string(n));
-  root.set("nodes", std::move(nodes));
-
-  if (!spec.topology.links.empty()) {
-    JsonValue links = JsonValue::make_array();
-    for (const auto& l : spec.topology.links) links.array.push_back(link_to_json(l));
-    root.set("links", std::move(links));
-  }
-
-  if (!spec.topology.flows.empty()) {
-    JsonValue flows = JsonValue::make_array();
-    for (std::size_t i = 0; i < spec.topology.flows.size(); ++i) {
-      const std::string cc = i < spec.flow_cc.size() ? spec.flow_cc[i] : "reno";
-      flows.array.push_back(flow_to_json(spec.topology.flows[i], cc));
-    }
-    root.set("flows", std::move(flows));
-  }
-
-  const RunSpec run_def{};
-  if (spec.run.duration != run_def.duration || spec.run.measure_start != run_def.measure_start) {
-    JsonValue run = JsonValue::make_object();
-    if (spec.run.duration != run_def.duration)
-      run.set("duration", JsonValue::make_string(format_time(spec.run.duration)));
-    if (spec.run.measure_start != run_def.measure_start)
-      run.set("measure_start", JsonValue::make_string(format_time(spec.run.measure_start)));
-    root.set("run", std::move(run));
-  }
-
-  if (!spec.sweep.empty()) root.set("sweep", sweep_to_json(spec.sweep));
-  return root;
-}
+JsonValue scenario_spec_to_json(const ScenarioSpec& spec) { return encode(spec); }
 
 std::string serialize_scenario_spec(const ScenarioSpec& spec) {
   return json_serialize(scenario_spec_to_json(spec));
@@ -1399,7 +1197,8 @@ std::vector<SweepPoint> expand_scenario_spec(const JsonValue& document) {
     point.spec = parse_scenario_spec(document);
     return {std::move(point)};
   }
-  const SweepSpec sweep = parse_sweep(*sweep_json, "sweep");
+  SweepSpec sweep;
+  decode(*sweep_json, "sweep", sweep);
 
   // The base document: everything except the sweep block.
   JsonValue base = JsonValue::make_object();

@@ -197,11 +197,9 @@ void validate_topology(const TopologySpec& spec);
 [[nodiscard]] std::optional<std::size_t> node_index(const TopologySpec& spec,
                                                     std::string_view name);
 
-/// Estimated number of simultaneously pending scheduler events when every
-/// flow is active: each bulk flow keeps ~2 timers (RTO, delayed ACK) plus
-/// one serialization train per link it crosses. This is the density the
-/// queue-backend crossover was measured against.
-[[nodiscard]] std::size_t estimated_pending_events(const TopologySpec& spec,
-                                                   const RouteTable& routes);
+/// validate_topology, compute_routes, then a kUnroutableFlow TopologyError
+/// for the first flow whose endpoints the routes do not connect: every
+/// check a spec needs before it can be built.
+[[nodiscard]] RouteTable validated_routes(const TopologySpec& spec);
 
 }  // namespace rss::scenario
