@@ -61,13 +61,6 @@ Result run_population(std::size_t cross, bool fluid) {
   cfg.access_rate = net::DataRate::mbps(100);
   cfg.bottleneck_rate = net::DataRate::mbps(100);
   cfg.fluid_cross = fluid;
-  // The equivalence study compares traffic models, not execution engines:
-  // pin an explicit partition policy so the process-wide --partitions
-  // default (which only fills in unpinned specs) can't re-cut the dumbbell
-  // and perturb same-timestamp tie-breaks mid-study. Two-way is the
-  // smallest explicit count; it splits at the 20 ms hop and matches the
-  // single-scheduler run byte for byte on this topology.
-  cfg.execution.partitions = 2;
   scenario::ParkingLot lot{cfg, scenario::uniform_cc(scenario::make_reno_factory())};
   lot.start_all(sim::Time::zero());
 

@@ -9,7 +9,7 @@
 #include "artifacts/experiments.hpp"
 #include "artifacts/golden.hpp"
 #include "artifacts/registry.hpp"
-#include "scenario/exec_flags.hpp"
+#include "scenario/execution.hpp"
 
 namespace rss::artifacts {
 
@@ -38,8 +38,9 @@ int usage(const char* argv0) {
                "%s"
                "\n"
                "--write-goldens and --check default to every registered experiment;\n"
-               "name specific experiments to restrict them.\n",
-               argv0, scenario::ExecFlags::help());
+               "name specific experiments to restrict them. Each experiment's scenarios\n"
+               "execute as their own specs say; --jobs only sets the thread budget.\n",
+               argv0, scenario::kJobsFlagHelp);
   return 2;
 }
 
@@ -152,16 +153,15 @@ int artifacts_main(int argc, char** argv, std::string default_goldens_dir) {
   enum class Command { kNone, kList, kRun, kWriteGoldens, kCheck };
   Command cmd = Command::kNone;
   std::string goldens_dir;
-  scenario::ExecFlags exec;
   std::vector<std::string> names;
 
   for (int i = 1; i < argc; ++i) {
-    switch (exec.parse(argc, argv, i)) {
-      case scenario::ExecFlags::Parse::kConsumed:
+    switch (scenario::parse_jobs_flag(argc, argv, i)) {
+      case scenario::JobsFlag::kConsumed:
         continue;
-      case scenario::ExecFlags::Parse::kError:
+      case scenario::JobsFlag::kError:
         return 2;
-      case scenario::ExecFlags::Parse::kNotMine:
+      case scenario::JobsFlag::kNotMine:
         break;
     }
     const std::string_view arg = argv[i];
@@ -190,10 +190,6 @@ int artifacts_main(int argc, char** argv, std::string default_goldens_dir) {
     }
   }
   if (cmd == Command::kNone) return usage(argv[0]);
-  // Same flag surface as rss_scenario: install the execution flags as the
-  // process-wide defaults so every experiment's internal sweeps and
-  // partitioned builds draw on one thread budget.
-  if (!exec.install()) return 2;
 
   if (goldens_dir.empty()) {
     // The build embeds <source-tree>/artifacts/goldens; use it as long as

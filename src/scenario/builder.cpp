@@ -182,16 +182,10 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
           static_cast<double>(opt.peak_rate.bits_per_second());
   }
 
-  // Resolve the execution policy; spec.backend is the deprecated alias and
-  // loses to an explicitly set execution.backend, and the process-wide
-  // defaults (CLI --backend/--partitions) are the lowest-precedence layer.
+  // The spec's execution block is the whole policy; spec.backend is the
+  // deprecated alias and loses to an explicitly set execution.backend.
   ExecutionPolicy policy = spec_.execution;
   if (!policy.backend && spec_.backend) policy.backend = spec_.backend;
-  const ExecutionDefaults& process_defaults = execution_defaults();
-  if (!policy.backend && process_defaults.backend)
-    policy.backend = process_defaults.backend;
-  if (policy.partitions == 1 && process_defaults.partitions > 1)
-    policy.partitions = process_defaults.partitions;
   if (policy.partitions == 0)
     throw TopologyError(Code::kBadExecution, "execution: partitions must be >= 1");
 
@@ -211,18 +205,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
     // (united before any other merge), so fluid integration never crosses
     // a HandoffChannel and the lookahead window is untouched by fluid.
     const std::vector<std::size_t> pinned(pinned_links.begin(), pinned_links.end());
-    assignment = policy.strategy == PartitionStrategy::kBlock
-                     ? sim::partition_blocks(spec_.nodes.size(), requested)
-                     : sim::partition_by_latency(spec_.nodes.size(), edges, requested, pinned);
-    for (const std::size_t l : pinned_links) {
-      if (assignment[edges[l].a] != assignment[edges[l].b])
-        throw TopologyError(Code::kFluidRouteCut,
-                            "execution: link '" + spec_.links[l].a + "' -- '" +
-                                spec_.links[l].b +
-                                "' carries a fluid flow but the partitioning splits it; "
-                                "fluid routes must stay within one partition (use the "
-                                "latency strategy, which pins them)");
-    }
+    assignment = sim::partition_by_latency(spec_.nodes.size(), edges, requested, pinned);
     for (std::size_t e = 0; e < edges.size(); ++e) {
       if (assignment[edges[e].a] != assignment[edges[e].b] &&
           edges[e].latency < sim::Time::nanoseconds(1))
@@ -257,13 +240,12 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
     sim_ptrs.reserve(parts);
     for (const auto& s : scenario->sims_) sim_ptrs.push_back(s.get());
     // Resolve the thread count here rather than in the engine: a zero
-    // budget must fall through the process-wide defaults (--jobs) before
+    // budget must fall through the process thread budget (--jobs) before
     // hitting hardware_concurrency, and the sim layer knows neither.
     scenario->engine_ = std::make_unique<sim::PartitionedEngine>(
         std::move(sim_ptrs),
         sim::PartitionedEngine::Options{.lookahead = lookahead,
-                                        .threads = policy.resolve_threads(parts),
-                                        .deterministic_merge = policy.deterministic_merge});
+                                        .threads = policy.resolve_threads(parts)});
   }
 
   const auto sim_of_node = [&](std::size_t n) -> sim::Simulation& {

@@ -50,15 +50,12 @@ class Dumbbell {
     tcp::TcpReceiver::Options receiver{};     ///< ids overwritten per flow
   };
 
-  /// Unified indexed factory type (kept as an alias for source compat).
-  using PerFlowCcFactory = FlowCcFactory;
-
   /// The declarative description of this topology; customize it and build
   /// with ScenarioBuilder directly for variations the Config doesn't cover
   /// (staggered spec-declared starts, per-flow options, extra links).
   [[nodiscard]] static TopologySpec make_spec(const Config& config);
 
-  Dumbbell(Config config, const PerFlowCcFactory& cc_factory);
+  Dumbbell(Config config, const FlowCcFactory& cc_factory);
 
   /// Start flow `i`'s unbounded bulk transfer at `start`.
   void start_flow(std::size_t i, sim::Time start) { scenario_->start_flow(i, start); }

@@ -8,16 +8,10 @@
 
 namespace rss::scenario {
 
-/// How ScenarioBuilder assigns topology nodes to partitions.
-enum class PartitionStrategy {
-  kAuto,   ///< latency-guided agglomeration (sim::partition_by_latency)
-  kBlock,  ///< contiguous blocks of spec node order (sim::partition_blocks)
-};
-
-/// The single execution-configuration object for a scenario: queue backend,
-/// partitioning, and thread budget in one place. TopologySpec::backend (the
-/// spec file's top-level "backend") remains as a deprecated alias that
-/// forwards here.
+/// How one scenario executes: queue backend, partition count and thread
+/// budget. This is the spec's "execution" block and the only place a
+/// scenario's execution is chosen; TopologySpec::backend (the spec file's
+/// top-level "backend") remains as a deprecated alias that forwards here.
 ///
 /// Defaults: one partition, the binary-heap backend, hardware thread budget.
 struct ExecutionPolicy {
@@ -28,15 +22,10 @@ struct ExecutionPolicy {
   /// Number of topology partitions to run in parallel; 1 = the classic
   /// single-scheduler run. Requests beyond the node count are clamped.
   std::size_t partitions{1};
-  PartitionStrategy strategy{PartitionStrategy::kAuto};
   /// Worker-thread budget: for a partitioned run, threads driving
-  /// partitions; for parallel_sweep, concurrent sweep points. 0 = one per
-  /// hardware thread (with the hardware_concurrency()==0 report guarded).
+  /// partitions; for parallel_sweep, concurrent sweep points. 0 = the
+  /// process thread budget (see thread_budget()).
   std::size_t threads{0};
-  /// Sort cross-partition handoffs into (deliver_at, channel, seq) order
-  /// before scheduling, making partitioned runs a pure function of the
-  /// spec. Leave on; off exists only to measure the sort's cost.
-  bool deterministic_merge{true};
 
   friend bool operator==(const ExecutionPolicy&, const ExecutionPolicy&) = default;
 
@@ -53,31 +42,32 @@ struct ExecutionPolicy {
   [[nodiscard]] static std::size_t hardware_threads();
 
   /// Worker count for `work_items` independent work items under this
-  /// policy's thread budget: min(budget, work_items), never 0. A zero
-  /// budget falls back to the process-wide default (execution_defaults()),
-  /// then to hardware_threads().
+  /// policy's thread budget: min(thread_budget(threads), work_items),
+  /// never 0.
   [[nodiscard]] std::size_t resolve_threads(std::size_t work_items) const;
 };
 
-/// Process-wide execution defaults — the lowest-precedence layer of policy
-/// resolution (explicit ExecutionPolicy > deprecated spec backend > these >
-/// built-in defaults). The CLI drivers (rss_scenario, rss_artifacts)
-/// install --jobs / --backend / --partitions here, which is how both
-/// binaries share one flag surface and every nested parallel construct
-/// (sweep workers x partition engine threads) draws on a single thread
-/// budget. Not synchronized: install before any workers are spawned.
-struct ExecutionDefaults {
-  /// Total thread budget for the process; 0 = one per hardware thread.
-  std::size_t thread_budget{0};
-  /// Queue backend for scenarios that don't pin one (pop order is
-  /// backend-independent, so this is a pure speed knob).
-  std::optional<sim::QueueBackend> backend{};
-  /// Partition count for scenarios that leave partitions at the default;
-  /// 0 = no override.
-  std::size_t partitions{0};
+/// `requested` when nonzero, else the process thread budget when set, else
+/// ExecutionPolicy::hardware_threads(). The process thread budget is the
+/// one process-wide execution setting: the total that sweep workers and
+/// partition engines share, so nested parallelism never oversubscribes.
+[[nodiscard]] std::size_t thread_budget(std::size_t requested = 0);
+
+/// The execution flag rss_scenario and rss_artifacts share:
+/// `--jobs <n>` sets the process thread budget (0 = one per hardware
+/// thread). Not synchronized: parse it before any worker is spawned.
+enum class JobsFlag {
+  kConsumed,  ///< argv[i] was --jobs; its count was consumed and installed
+  kNotMine,   ///< not --jobs; the caller keeps parsing
+  kError,     ///< --jobs without a valid count; a diagnostic went to stderr
 };
 
-/// The mutable process-wide defaults instance.
-[[nodiscard]] ExecutionDefaults& execution_defaults();
+/// Try to consume argv[i] as --jobs, advancing `i` past its count.
+[[nodiscard]] JobsFlag parse_jobs_flag(int argc, char** argv, int& i);
+
+/// The --jobs help line (indented, newline-terminated) for usage() texts.
+inline constexpr const char* kJobsFlagHelp =
+    "  --jobs <n>               total thread budget shared by sweep points and\n"
+    "                           partition engines (default: all cores)\n";
 
 }  // namespace rss::scenario

@@ -7,6 +7,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
@@ -112,12 +113,6 @@ struct FlowResult {
 }  // namespace
 
 metrics::Table run_spec_document(const JsonValue& document, std::size_t max_threads) {
-  ExecFlags exec;
-  exec.jobs = max_threads;
-  return run_spec_document(document, exec);
-}
-
-metrics::Table run_spec_document(const JsonValue& document, const ExecFlags& exec) {
   std::vector<SweepPoint> points = expand_scenario_spec(document);
 
   std::vector<std::string> columns{"point"};
@@ -130,12 +125,8 @@ metrics::Table run_spec_document(const JsonValue& document, const ExecFlags& exe
   // then each partitioned point that doesn't pin its own thread count gets
   // an equal share of what remains — nested parallelism (sweep x engine)
   // never oversubscribes.
-  for (auto& point : points) exec.apply(point.spec.topology.execution);
-  std::size_t budget = exec.jobs;
-  if (budget == 0) budget = execution_defaults().thread_budget;
-  if (budget == 0) budget = ExecutionPolicy::hardware_threads();
-  const std::size_t workers =
-      std::clamp<std::size_t>(budget, 1, std::max<std::size_t>(points.size(), 1));
+  const std::size_t budget = thread_budget(max_threads);
+  const std::size_t workers = std::min(budget, points.size());
   for (auto& point : points) {
     ExecutionPolicy& policy = point.spec.topology.execution;
     if (policy.partitioned() && policy.threads == 0)
@@ -176,14 +167,6 @@ metrics::Table run_spec_text(std::string_view json_text, std::size_t max_threads
 
 metrics::Table run_spec_file(const std::string& path, std::size_t max_threads) {
   return run_spec_text(read_spec_file(path), max_threads);
-}
-
-metrics::Table run_spec_text(std::string_view json_text, const ExecFlags& exec) {
-  return run_spec_document(json_parse(json_text), exec);
-}
-
-metrics::Table run_spec_file(const std::string& path, const ExecFlags& exec) {
-  return run_spec_text(read_spec_file(path), exec);
 }
 
 // --- presets as specs -----------------------------------------------------
@@ -248,7 +231,9 @@ int usage(const char* argv0) {
                "  --run <spec.json>        expand the spec's sweep, build and run every\n"
                "                           point, write the result table as CSV\n"
                "  --validate <file...>     parse + topology-check spec files (and every\n"
-               "                           sweep point); exit 0 iff all are valid\n"
+               "                           sweep point) and check that each file's\n"
+               "                           canonical form re-serializes unchanged;\n"
+               "                           exit 0 iff all are valid\n"
                "  --emit-preset <name>     dump a C++ topology preset as a spec file\n"
                "                           (wanpath, dumbbell, parkinglot, chain)\n"
                "  --list-presets           list the emittable presets\n"
@@ -258,8 +243,11 @@ int usage(const char* argv0) {
                "\n"
                "options:\n"
                "  --out <path>             write CSV/spec output here (default: stdout)\n"
-               "%s",
-               argv0, ExecFlags::help());
+               "%s"
+               "\n"
+               "How a scenario executes (backend, partitions, threads) is set only by\n"
+               "its spec's \"execution\" block.\n",
+               argv0, kJobsFlagHelp);
   return 2;
 }
 
@@ -277,8 +265,8 @@ int usage(const char* argv0) {
   return 0;
 }
 
-int cmd_run(const std::string& path, const std::string& out_path, const ExecFlags& exec) {
-  const metrics::Table table = run_spec_file(path, exec);
+int cmd_run(const std::string& path, const std::string& out_path) {
+  const metrics::Table table = run_spec_file(path);
   const int rc = write_output(out_path, table.to_csv());
   if (rc == 0 && !out_path.empty())
     std::printf("wrote %s (%zu rows)\n", out_path.c_str(), table.row_count());
@@ -293,7 +281,14 @@ int cmd_validate(const std::vector<std::string>& files) {
   std::size_t failures = 0;
   for (const auto& path : files) {
     try {
-      const std::vector<SweepPoint> points = expand_scenario_spec(read_spec_file(path));
+      const std::string text = read_spec_file(path);
+      // The canonical form must be a fixed point of parse∘serialize, or a
+      // spec would drift each time a tool rewrites it.
+      const std::string canonical = serialize_scenario_spec(parse_scenario_spec(text));
+      if (serialize_scenario_spec(parse_scenario_spec(canonical)) != canonical)
+        throw std::runtime_error("canonical form is not a fixed point: re-parsing and "
+                                 "re-serializing it changes it");
+      const std::vector<SweepPoint> points = expand_scenario_spec(text);
       for (const auto& point : points) check_scenario_spec(point.spec);
       const ScenarioSpec& first = points.front().spec;
       std::printf("%-40s OK (%zu point%s, %zu nodes, %zu links, %zu flows)\n", path.c_str(),
@@ -387,16 +382,15 @@ int scenario_main(int argc, char** argv) {
   std::string out_path;
   std::string run_path;
   std::string preset;
-  ExecFlags exec;
   std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
-    switch (exec.parse(argc, argv, i)) {
-      case ExecFlags::Parse::kConsumed:
+    switch (parse_jobs_flag(argc, argv, i)) {
+      case JobsFlag::kConsumed:
         continue;
-      case ExecFlags::Parse::kError:
+      case JobsFlag::kError:
         return 2;
-      case ExecFlags::Parse::kNotMine:
+      case JobsFlag::kNotMine:
         break;
     }
     const std::string_view arg = argv[i];
@@ -440,7 +434,7 @@ int scenario_main(int argc, char** argv) {
   try {
     switch (cmd) {
       case Command::kRun:
-        return cmd_run(run_path, out_path, exec);
+        return cmd_run(run_path, out_path);
       case Command::kValidate:
         return cmd_validate(files);
       case Command::kEmitPreset:

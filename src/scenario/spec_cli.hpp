@@ -8,7 +8,6 @@
 
 #include "metrics/table.hpp"
 #include "scenario/builder.hpp"
-#include "scenario/exec_flags.hpp"
 #include "scenario/spec_io.hpp"
 #include "scenario/topology.hpp"
 
@@ -32,22 +31,18 @@ namespace rss::scenario::spec {
 /// goodput over [run.measure_start, run.duration] and the Web100
 /// stall/timeout/retransmission counters as deltas over that same window
 /// (counters are snapshotted at measure_start, so warm-up is excluded).
+///
+/// Each point executes as its spec's execution block says. `max_threads`
+/// (0 = the process thread budget, see thread_budget()) is one budget
+/// shared by the sweep workers and the partition engines inside each
+/// point: each partitioned point that doesn't pin its own thread count
+/// gets budget / workers.
 [[nodiscard]] metrics::Table run_spec_document(const JsonValue& document,
                                                std::size_t max_threads = 0);
 [[nodiscard]] metrics::Table run_spec_text(std::string_view json_text,
                                            std::size_t max_threads = 0);
 [[nodiscard]] metrics::Table run_spec_file(const std::string& path,
                                            std::size_t max_threads = 0);
-
-/// ExecFlags-driven variants: --backend/--partitions override every sweep
-/// point's execution policy, and --jobs is one budget shared by the sweep
-/// workers and the partition engines inside each point (each partitioned
-/// point that doesn't pin its own thread count gets budget / workers).
-[[nodiscard]] metrics::Table run_spec_document(const JsonValue& document,
-                                               const ExecFlags& exec);
-[[nodiscard]] metrics::Table run_spec_text(std::string_view json_text,
-                                           const ExecFlags& exec);
-[[nodiscard]] metrics::Table run_spec_file(const std::string& path, const ExecFlags& exec);
 
 /// The C++ topology presets as scenario specs with Reno on every flow:
 /// "wanpath", "dumbbell", "parkinglot", "chain" carry their default Config;

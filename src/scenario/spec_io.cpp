@@ -124,7 +124,11 @@ void JsonValue::set(std::string_view key, JsonValue value) {
 double JsonValue::as_double(const std::string& field) const {
   if (type != Type::kNumber)
     fail(SpecError::Code::kWrongType, field, line, "expected a number");
-  return std::strtod(number.c_str(), nullptr);
+  const double v = std::strtod(number.c_str(), nullptr);
+  if (!std::isfinite(v))
+    fail(SpecError::Code::kBadValue, field, line,
+         "number out of range: '" + number + "'");
+  return v;
 }
 
 std::uint64_t JsonValue::as_u64(const std::string& field) const {
@@ -821,9 +825,6 @@ constexpr Names<std::optional<sim::QueueBackend>, 3> kNames<std::optional<sim::Q
      {"calendar_queue", sim::QueueBackend::kCalendarQueue},
      {"auto", std::nullopt}}};
 template <>
-constexpr Names<PartitionStrategy, 2> kNames<PartitionStrategy>{
-    {{"auto", PartitionStrategy::kAuto}, {"block", PartitionStrategy::kBlock}}};
-template <>
 constexpr Names<SweepSpec::Mode, 2> kNames<SweepSpec::Mode>{
     {{"grid", SweepSpec::Mode::kGrid}, {"zip", SweepSpec::Mode::kZip}}};
 
@@ -995,9 +996,7 @@ template <>
 constexpr std::array kFields<ExecutionPolicy>{
     field<&ExecutionPolicy::backend>("backend"),
     field<&ExecutionPolicy::partitions>("partitions", {.check = check_partitions}),
-    field<&ExecutionPolicy::strategy>("strategy"),
     field<&ExecutionPolicy::threads>("threads"),
-    field<&ExecutionPolicy::deterministic_merge>("deterministic_merge"),
 };
 template <>
 constexpr std::array kFields<RunSpec>{

@@ -9,12 +9,7 @@ namespace rss::scenario {
 void parallel_sweep(std::size_t count, const std::function<void(std::size_t)>& fn,
                     std::size_t max_threads) {
   if (count == 0) return;
-  // hardware_concurrency() may legitimately return 0 ("unknown"); fall back
-  // to a single worker instead of clamping 0 into the thread count.
-  ExecutionPolicy policy;
-  policy.threads = max_threads;
-  std::size_t workers = policy.resolve_threads(count);
-  workers = std::clamp<std::size_t>(workers, 1, count);
+  const std::size_t workers = std::min(thread_budget(max_threads), count);
 
   if (workers == 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
@@ -52,12 +47,6 @@ void parallel_sweep(std::size_t count, const std::function<void(std::size_t)>& f
   for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_sweep(std::size_t count, const std::function<void(std::size_t)>& fn,
-                    const ExecutionPolicy& policy) {
-  if (count == 0) return;
-  parallel_sweep(count, fn, policy.resolve_threads(count));
 }
 
 }  // namespace rss::scenario

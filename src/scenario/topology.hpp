@@ -126,9 +126,8 @@ struct TopologySpec {
   /// their JSON round-trips) stay byte-identical. An explicitly set
   /// execution.backend wins over this field.
   std::optional<sim::QueueBackend> backend{};
-  /// How to execute the built scenario: queue backend, partition count and
-  /// strategy, thread budget. Defaults reproduce the classic
-  /// single-scheduler run.
+  /// How to execute the built scenario: queue backend, partition count,
+  /// thread budget. Defaults reproduce the classic single-scheduler run.
   ExecutionPolicy execution{};
 };
 
@@ -148,7 +147,6 @@ class TopologyError : public std::invalid_argument {
     kNullCcFactory,    ///< build() called with an empty factory
     kBadExecution,     ///< invalid ExecutionPolicy (e.g. partitions == 0)
     kZeroLatencyCut,   ///< a cross-partition link has zero latency (no lookahead)
-    kFluidRouteCut,    ///< a partitioning splits a fluid flow's route across partitions
   };
 
   TopologyError(Code code, const std::string& what)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <barrier>
-#include <cassert>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -119,15 +118,6 @@ std::vector<std::uint32_t> partition_by_latency(std::size_t node_count,
   return renumber(sets, node_count);
 }
 
-std::vector<std::uint32_t> partition_blocks(std::size_t node_count, std::size_t parts) {
-  if (parts == 0) throw std::invalid_argument("partition_blocks: parts must be >= 1");
-  std::vector<std::uint32_t> assignment(node_count);
-  const std::size_t p = std::min(parts, std::max<std::size_t>(node_count, 1));
-  for (std::size_t i = 0; i < node_count; ++i)
-    assignment[i] = static_cast<std::uint32_t>(i * p / node_count);
-  return assignment;
-}
-
 std::size_t partition_count(const std::vector<std::uint32_t>& assignment) {
   std::uint32_t max_label = 0;
   if (assignment.empty()) return 0;
@@ -228,19 +218,19 @@ void PartitionedEngine::drain_partition(std::size_t p) {
     for (const StagedHandoff& h : channels_[id].staged()) scratch.push_back(&h);
   }
   if (scratch.empty()) return;
-  if (options_.deterministic_merge) {
-    std::sort(scratch.begin(), scratch.end(),
-              [](const StagedHandoff* x, const StagedHandoff* y) {
-                if (x->deliver_at != y->deliver_at) return x->deliver_at < y->deliver_at;
-                if (x->staged_at != y->staged_at) return x->staged_at < y->staged_at;
-                if (x->channel != y->channel) return x->channel < y->channel;
-                return x->seq < y->seq;
-              });
-  }
-  for (const StagedHandoff* h : scratch) {
-    assert(h->deliver_at > sims_[p]->now() && "conservative lookahead violated");
+  std::sort(scratch.begin(), scratch.end(), [](const StagedHandoff* x, const StagedHandoff* y) {
+    if (x->deliver_at != y->deliver_at) return x->deliver_at < y->deliver_at;
+    if (x->staged_at != y->staged_at) return x->staged_at < y->staged_at;
+    if (x->channel != y->channel) return x->channel < y->channel;
+    return x->seq < y->seq;
+  });
+  // Sorted by deliver_at, so the front is the earliest delivery. A handoff
+  // due at or before the destination's clock means the window outran the
+  // lookahead; fail loudly in every build type rather than reorder time.
+  if (scratch.front()->deliver_at <= sims_[p]->now()) [[unlikely]]
+    throw std::logic_error("PartitionedEngine: conservative lookahead violated");
+  for (const StagedHandoff* h : scratch)
     h->deliver(h->endpoint, h->payload, h->deliver_at, h->staged_at, h->origin, h->rank);
-  }
   handoffs_[p] += scratch.size();
   for (const std::uint32_t id : inbound_[p]) channels_[id].clear();
   scratch.clear();

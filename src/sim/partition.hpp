@@ -50,12 +50,6 @@ struct PartitionEdge {
     std::size_t node_count, const std::vector<PartitionEdge>& edges, std::size_t parts,
     const std::vector<std::size_t>& pinned = {});
 
-/// Contiguous blocks of the node order: node i goes to partition
-/// i * parts / node_count. Ignores the edge structure entirely — useful in
-/// tests that need a predictable (or adversarial) assignment.
-[[nodiscard]] std::vector<std::uint32_t> partition_blocks(std::size_t node_count,
-                                                          std::size_t parts);
-
 /// Number of partitions an assignment uses (max label + 1; 0 when empty).
 [[nodiscard]] std::size_t partition_count(const std::vector<std::uint32_t>& assignment);
 
@@ -205,10 +199,6 @@ class PartitionedEngine {
     /// hardware_concurrency() report of 0 (permitted by the standard) falls
     /// back to 1.
     std::size_t threads{0};
-    /// Sort merged handoffs before scheduling (see class comment). Turning
-    /// this off keeps runs deterministic only for single-channel
-    /// partitions; it exists to measure the cost of the sort.
-    bool deterministic_merge{true};
   };
 
   /// `partitions[p]` must outlive the engine; each Simulation is driven
@@ -226,7 +216,9 @@ class PartitionedEngine {
 
   /// Advance every partition to exactly `target` (events at `target`
   /// fire, matching Scheduler::run_until). Rethrows the first exception
-  /// any partition's event raised, after all workers have stopped.
+  /// any partition's event raised, after all workers have stopped — and a
+  /// std::logic_error when a handoff is due no later than its
+  /// destination's clock (a lookahead violation), in every build type.
   void run_until(Time target);
 
   [[nodiscard]] std::size_t partition_count() const { return sims_.size(); }

@@ -9,10 +9,10 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "scenario/execution.hpp"
 #include "scenario/spec_cli.hpp"
-#include "scenario/sweep.hpp"
 
 namespace rss::scenario {
 namespace {
@@ -36,15 +36,12 @@ constexpr const char* kMinimalTopology = R"({
 
 TEST(ExecutionSpec, ParsesEveryField) {
   const ScenarioSpec s = parse_scenario_spec(with_execution(
-      R"({"backend": "calendar_queue", "partitions": 4, "strategy": "block",
-          "threads": 8, "deterministic_merge": false})"));
+      R"({"backend": "calendar_queue", "partitions": 4, "threads": 8})"));
   const ExecutionPolicy& p = s.topology.execution;
   ASSERT_TRUE(p.backend.has_value());
   EXPECT_EQ(*p.backend, sim::QueueBackend::kCalendarQueue);
   EXPECT_EQ(p.partitions, 4u);
-  EXPECT_EQ(p.strategy, PartitionStrategy::kBlock);
   EXPECT_EQ(p.threads, 8u);
-  EXPECT_FALSE(p.deterministic_merge);
 }
 
 TEST(ExecutionSpec, DefaultsWhenAbsent) {
@@ -54,12 +51,16 @@ TEST(ExecutionSpec, DefaultsWhenAbsent) {
 }
 
 TEST(ExecutionSpec, UnknownFieldIsTypedError) {
-  try {
-    (void)parse_scenario_spec(with_execution(R"({"paritions": 4})"));
-    FAIL() << "expected SpecError";
-  } catch (const SpecError& e) {
-    EXPECT_EQ(e.code(), SpecError::Code::kUnknownField);
-    EXPECT_EQ(e.field(), "execution.paritions");
+  // The last two keys named the removed block partitioner and the
+  // unsorted-merge switch; they are unknown keys now.
+  for (const std::string key : {"paritions", "strategy", "deterministic_merge"}) {
+    try {
+      (void)parse_scenario_spec(with_execution("{\"" + key + "\": 4}"));
+      FAIL() << "expected SpecError for " << key;
+    } catch (const SpecError& e) {
+      EXPECT_EQ(e.code(), SpecError::Code::kUnknownField);
+      EXPECT_EQ(e.field(), "execution." + key);
+    }
   }
 }
 
@@ -70,16 +71,6 @@ TEST(ExecutionSpec, ZeroPartitionsIsTypedError) {
   } catch (const SpecError& e) {
     EXPECT_EQ(e.code(), SpecError::Code::kBadValue);
     EXPECT_EQ(e.field(), "execution.partitions");
-  }
-}
-
-TEST(ExecutionSpec, BadStrategyIsTypedError) {
-  try {
-    (void)parse_scenario_spec(with_execution(R"({"strategy": "zigzag"})"));
-    FAIL() << "expected SpecError";
-  } catch (const SpecError& e) {
-    EXPECT_EQ(e.code(), SpecError::Code::kBadValue);
-    EXPECT_EQ(e.field(), "execution.strategy");
   }
 }
 
@@ -148,6 +139,31 @@ TEST(ExecutionSpec, PolicyResolveThreadsGuardsZeroHardware) {
   policy.threads = 5;
   EXPECT_EQ(policy.resolve_threads(2), 2u);
   EXPECT_EQ(policy.resolve_threads(100), 5u);
+}
+
+TEST(ExecutionSpec, JobsFlagSetsTheProcessThreadBudget) {
+  const auto parse = [](std::vector<std::string> args, int& i) {
+    args.insert(args.begin(), "driver");
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    return parse_jobs_flag(static_cast<int>(argv.size()), argv.data(), i);
+  };
+  int i = 1;
+  EXPECT_EQ(parse({"--out", "x"}, i), JobsFlag::kNotMine);
+  EXPECT_EQ(i, 1);
+  EXPECT_EQ(parse({"--jobs", "3"}, i), JobsFlag::kConsumed);
+  EXPECT_EQ(i, 2);
+  EXPECT_EQ(thread_budget(), 3u);
+  EXPECT_EQ(thread_budget(7), 7u);  // an explicit request wins
+  for (const char* bad : {"-1", "+3", " 3", "3x"}) {
+    i = 1;
+    EXPECT_EQ(parse({"--jobs", bad}, i), JobsFlag::kError) << bad;
+  }
+  i = 1;
+  EXPECT_EQ(parse({"--jobs"}, i), JobsFlag::kError);
+  i = 1;
+  EXPECT_EQ(parse({"--jobs", "0"}, i), JobsFlag::kConsumed);  // back to the default
+  EXPECT_EQ(thread_budget(), ExecutionPolicy::hardware_threads());
 }
 
 TEST(ExecutionSpec, ScalePresetEmitsPartitionedExecution) {

@@ -36,18 +36,9 @@ namespace {
 
 using namespace rss::sim::literals;
 using scenario::ExecutionPolicy;
-using scenario::PartitionStrategy;
 using scenario::TopologySpec;
 
 // --- graph partitioning ---------------------------------------------------
-
-TEST(PartitionGraph, BlocksAreContiguousAndBalanced) {
-  const auto a = sim::partition_blocks(10, 3);
-  ASSERT_EQ(a.size(), 10u);
-  EXPECT_EQ(sim::partition_count(a), 3u);
-  // Labels are non-decreasing along node order (contiguous blocks).
-  for (std::size_t i = 1; i < a.size(); ++i) EXPECT_LE(a[i - 1], a[i]);
-}
 
 TEST(PartitionGraph, LatencyGuidedKeepsLowLatencyEdgesInternal) {
   // Two 3-node clusters joined by one high-latency edge: the cut must land
@@ -63,6 +54,20 @@ TEST(PartitionGraph, LatencyGuidedKeepsLowLatencyEdgesInternal) {
   EXPECT_EQ(a[4], a[5]);
   EXPECT_NE(a[2], a[3]);
   EXPECT_EQ(sim::min_cut_latency(edges, a), 50_ms);
+}
+
+TEST(PartitionGraph, PinnedLinksStayInternalEvenAtTheHighestLatency) {
+  // The same two clusters, but the 50 ms bridge is pinned (it carries a
+  // fluid route): it must stay inside one partition, so the cut moves to
+  // the next-highest-latency edges and the partitioning still splits.
+  const std::vector<sim::PartitionEdge> edges = {
+      {0, 1, 1_ms}, {1, 2, 2_ms}, {3, 4, 2_ms}, {4, 5, 1_ms}, {2, 3, 50_ms},
+  };
+  const std::vector<std::size_t> pinned = {4};
+  const auto a = sim::partition_by_latency(6, edges, 2, pinned);
+  ASSERT_EQ(sim::partition_count(a), 2u);
+  EXPECT_EQ(a[2], a[3]);
+  EXPECT_LT(sim::min_cut_latency(edges, a), 50_ms);
 }
 
 TEST(PartitionGraph, DisconnectedComponentsStaySeparate) {
@@ -152,6 +157,28 @@ TEST(PartitionedEngine, ThreadedRunMatchesSingleWorker) {
   const auto threaded = run(4);
   EXPECT_EQ(single.first, threaded.first);
   EXPECT_EQ(single.second, threaded.second);
+}
+
+TEST(PartitionedEngine, LookaheadViolationThrowsInEveryBuildType) {
+  // A handoff due no later than the destination's clock after the window
+  // must be refused with a logic_error even where NDEBUG strips
+  // assertions: one due at its own stage time, and one due exactly at the
+  // window end (1 ms + 10 ms lookahead - 1 ns), which the destination
+  // scheduler alone would accept.
+  for (const sim::Time delay : {sim::Time::zero(), 10_ms - sim::Time::nanoseconds(1)}) {
+    sim::Simulation a{1};
+    sim::Simulation b{2};
+    sim::PartitionedEngine engine{{&a, &b}, {.lookahead = 10_ms, .threads = 1}};
+    sim::HandoffChannel& a_to_b = engine.add_channel(0, 1);
+    Recorder recorder{&b, {}};
+    a.at(1_ms, [&] {
+      const std::uint64_t tag = 0;
+      a_to_b.stage(a.now() + delay, a.now(), 0, a.scheduler().draw_rank(0), &recorder,
+                   &Recorder::deliver, tag);
+    });
+    EXPECT_THROW(engine.run_until(20_ms), std::logic_error) << delay.to_seconds();
+    EXPECT_TRUE(recorder.delivered.empty());
+  }
 }
 
 TEST(PartitionedEngine, PropagatesExceptionsFromWorkers) {
@@ -253,10 +280,9 @@ TEST(PartitionBuilder, CrossPartitionLinksRejectLossAndJitter) {
   scenario::Dumbbell::Config cfg;
   cfg.flows = 2;
   cfg.execution.partitions = 2;
-  cfg.execution.strategy = PartitionStrategy::kAuto;
   scenario::Dumbbell db{cfg, [](std::size_t) { return scenario::make_reno_factory()(); }};
   ASSERT_EQ(db.scenario().partition_count(), 2u);
-  // The bottleneck carries the largest delay, so kAuto cuts there; its link
+  // The bottleneck carries the largest delay, so the partitioner cuts there; its link
   // must be the cross-partition kind, which refuses RNG-drawing knobs.
   net::PointToPointLink* bottleneck = db.bottleneck().link();
   ASSERT_NE(bottleneck, nullptr);
@@ -346,15 +372,6 @@ TEST(PartitionParity, ScaleMeshTwoAndFourWay) {
   const TopologySpec spec = scenario::ScaleMesh::make_spec(cfg);
   expect_partition_parity(spec, 2, 1_s);
   expect_partition_parity(spec, 4, 1_s);
-}
-
-TEST(PartitionParity, BlockStrategyMatchesToo) {
-  scenario::ScaleMesh::Config cfg;
-  cfg.segments = 4;
-  cfg.flows_per_segment = 2;
-  cfg.cross_flows_per_segment = 1;
-  cfg.execution.strategy = PartitionStrategy::kBlock;
-  expect_partition_parity(scenario::ScaleMesh::make_spec(cfg), 4, 1_s);
 }
 
 TEST(PartitionParity, ThreadCountDoesNotChangeResults) {

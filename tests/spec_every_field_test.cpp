@@ -28,9 +28,7 @@ ScenarioSpec every_field_spec() {
   t.backend = sim::QueueBackend::kCalendarQueue;
   t.execution.backend = sim::QueueBackend::kBinaryHeap;
   t.execution.partitions = 3;
-  t.execution.strategy = PartitionStrategy::kBlock;
   t.execution.threads = 5;
-  t.execution.deterministic_merge = false;
   t.nodes = {"h1", "r1", "h2"};
 
   LinkSpec access;

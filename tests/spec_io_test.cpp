@@ -250,6 +250,22 @@ TEST(ScenarioSpecTest, RedOptionsRequireRedQdisc) {
   })");
   EXPECT_EQ(s.topology.links[0].a_dev.qdisc, QueueDiscipline::kRed);
   EXPECT_DOUBLE_EQ(s.topology.links[0].a_dev.red.min_threshold, 5.0);
+
+  // A literal that overflows a double would parse to inf, which the writer
+  // cannot emit as JSON; it is a bad value with the field's path and line.
+  for (const std::string literal : {"1e999", "-1e999"}) {
+    const auto overflow = spec_error_full([&] {
+      (void)parse_scenario_spec(R"({
+        "nodes": ["a", "b"],
+        "links": [{"a": "a", "b": "b",
+                   "a_dev": {"qdisc": "red", "red": {"min_threshold": )" +
+                                literal + "}}}]\n}");
+    });
+    ASSERT_TRUE(overflow.has_value()) << literal;
+    EXPECT_EQ(overflow->code(), Code::kBadValue);
+    EXPECT_EQ(overflow->field(), "links[0].a_dev.red.min_threshold");
+    EXPECT_EQ(overflow->line(), 4);
+  }
 }
 
 TEST(ScenarioSpecTest, DanglingLinkEndpointIsATopologyError) {
